@@ -34,7 +34,7 @@ from .sampling import (
     SparsifiedSystem,
     build_sparsifier,
     concentration_check,
-    draw_samples,
+    draw_counts,
     sample_count,
 )
 from .solve import SolveReport, energy_norm, error_report, solve_exact, solve_sparsified
@@ -71,7 +71,7 @@ __all__ = [
     "concentration_check",
     "cycle",
     "default_rhs",
-    "draw_samples",
+    "draw_counts",
     "effective_resistances",
     "energy_norm",
     "error_report",

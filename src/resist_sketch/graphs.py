@@ -104,25 +104,29 @@ def incidence_factors(g: WeightedGraph) -> IncidenceFactors:
     return IncidenceFactors(incidence=b, weights=weights, lo=lo, hi=hi)
 
 
+def _assemble_laplacian(
+    n: int, lo: np.ndarray, hi: np.ndarray, w: np.ndarray
+) -> sparse.csr_matrix:
+    """Laplacian diag(deg) - A - A^T of the edges (lo_i, hi_i, w_i), lo_i < hi_i.
+
+    A is the strict upper triangle with parallel edges summed once, so the
+    (i, j) and (j, i) entries are the same sum and the result is symmetric
+    exactly, not just within round-off.
+    """
+    upper = sparse.csr_matrix((w, (lo, hi)), shape=(n, n))
+    deg = np.bincount(lo, w, minlength=n) + np.bincount(hi, w, minlength=n)
+    return (sparse.diags(deg, format="csr") - upper - upper.T).tocsr()
+
+
 def laplacian_of(g: WeightedGraph) -> sparse.csr_matrix:
     """Laplacian of ``g`` as a sparse symmetric PSD matrix.
 
     Off-diagonal (i, j) entries are minus the total weight between i and j
     (parallel edges sum); diagonal entries are the weighted degrees. Row sums
-    are zero, so the all-ones vector is in the null space. Endpoints are
-    ordered before assembly so the (i, j) and (j, i) buckets accumulate in
-    the same order and the result is symmetric exactly, not just within
-    round-off.
+    are zero, so the all-ones vector is in the null space.
     """
-    u = np.array([min(e[0], e[1]) for e in g.edges], dtype=np.int64)
-    v = np.array([max(e[0], e[1]) for e in g.edges], dtype=np.int64)
-    w = g.weights()
-    rows = np.concatenate([u, v, u, v])
-    cols = np.concatenate([u, v, v, u])
-    data = np.concatenate([w, w, -w, -w])
-    lap = sparse.coo_matrix((data, (rows, cols)), shape=(g.n, g.n)).tocsr()
-    lap.sum_duplicates()
-    return lap
+    ends = np.array([e[:2] for e in g.edges], dtype=np.int64).reshape(-1, 2)
+    return _assemble_laplacian(g.n, ends.min(axis=1), ends.max(axis=1), g.weights())
 
 
 def component_count(g: WeightedGraph) -> int:

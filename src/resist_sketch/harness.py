@@ -35,8 +35,6 @@ from .spectral import (
 )
 from .version import VERSION
 
-MODES = ("leverage", "resistance", "sparsify", "solve", "verify")
-
 _SEED_MAX = 2**64
 
 
@@ -133,9 +131,10 @@ def _load_rhs(cfg: RunConfig, n: int) -> np.ndarray:
     return b
 
 
-def _lemma_max_relerr(g: WeightedGraph, profile: SpectralProfile) -> float:
+def _lemma_max_relerr(
+    g: WeightedGraph, profile: SpectralProfile, dense_route: np.ndarray
+) -> float:
     """Worst relative gap between leverage/weight and the pseudoinverse-path resistance."""
-    dense_route = effective_resistances(g)
     gap = np.abs(profile.leverage - g.weights() * dense_route)
     return float(np.max(gap / np.maximum(profile.leverage, 1e-300)))
 
@@ -198,7 +197,7 @@ def cmd_resistance(cfg: RunConfig) -> dict[str, Any]:
         "m": g.m,
         "rank": profile.rank,
         "resistance": dense_route.tolist(),
-        "lemma_max_relerr": _lemma_max_relerr(g, profile),
+        "lemma_max_relerr": _lemma_max_relerr(g, profile, dense_route),
         "timings": {"total": time.perf_counter() - t0},
     }
 
@@ -209,7 +208,7 @@ def cmd_sparsify(cfg: RunConfig) -> dict[str, Any]:
     g, factors, profile = _analyze(cfg)
     plan, source = _plan_for(cfg, profile, g.n, cfg.seed)
     system = build_sparsifier(factors, plan)
-    deviation = concentration_check(profile.basis, plan, samples=system.samples)
+    deviation = concentration_check(profile.basis, plan)
     return {
         "n": g.n,
         "m": g.m,
@@ -218,26 +217,11 @@ def cmd_sparsify(cfg: RunConfig) -> dict[str, Any]:
         "r_source": source,
         "off_theorem": source == "override",
         "distinct_edges": system.distinct_edges,
-        "nnz": system.nnz,
+        "nnz": system.laplacian.nnz,
         "deviation": deviation,
         "concentration_bound": math.sqrt(cfg.epsilon) / 2.0,
         "timings": {"total": time.perf_counter() - t0},
     }
-
-
-def _solve_pair(
-    cfg: RunConfig,
-    factors: IncidenceFactors,
-    profile: SpectralProfile,
-    plan: SamplingPlan,
-    b: np.ndarray,
-    L,
-):
-    exact = solve_exact(L, b, profile=profile)
-    system = build_sparsifier(factors, plan)
-    approx = solve_sparsified(system, b)
-    scored = error_report(exact, approx, factors, cfg.epsilon)
-    return exact, system, scored
 
 
 def cmd_solve(cfg: RunConfig) -> dict[str, Any]:
@@ -249,7 +233,9 @@ def cmd_solve(cfg: RunConfig) -> dict[str, Any]:
     b = _load_rhs(cfg, g.n)
     plan, source = _plan_for(cfg, profile, g.n, cfg.seed)
     t_plan = time.perf_counter()
-    exact, system, scored = _solve_pair(cfg, factors, profile, plan, b, L)
+    exact = solve_exact(L, b, profile=profile)
+    system = build_sparsifier(factors, plan)
+    scored = error_report(exact, solve_sparsified(system, b), factors, cfg.epsilon)
     t_done = time.perf_counter()
     return {
         "n": g.n,
@@ -273,7 +259,10 @@ def cmd_solve(cfg: RunConfig) -> dict[str, Any]:
             "relative_energy_error": scored.relative_energy_error,
             "success": scored.success,
         },
-        "sparsifier": {"distinct_edges": system.distinct_edges, "nnz": system.nnz},
+        "sparsifier": {
+            "distinct_edges": system.distinct_edges,
+            "nnz": system.laplacian.nnz,
+        },
         "timings": {
             "analyze": t_analyze - t0,
             "plan": t_plan - t_analyze,
@@ -305,9 +294,8 @@ def cmd_verify(cfg: RunConfig) -> VerifyReport:
         seed_t = trial_seed(cfg.seed, t)
         plan = dataclasses.replace(plan0, seed=seed_t)
         system = build_sparsifier(factors, plan)
-        approx = solve_sparsified(system, b)
-        scored = error_report(exact, approx, factors, cfg.epsilon)
-        deviation = concentration_check(profile.basis, plan, samples=system.samples)
+        scored = error_report(exact, solve_sparsified(system, b), factors, cfg.epsilon)
+        deviation = concentration_check(profile.basis, plan)
         deviations[t] = deviation
         success_count += bool(scored.success)
         records.append(
@@ -320,7 +308,7 @@ def cmd_verify(cfg: RunConfig) -> VerifyReport:
                 "deviation": deviation,
                 "deviation_within_bound": bool(deviation <= bound),
                 "distinct_edges": system.distinct_edges,
-                "nnz": system.nnz,
+                "nnz": system.laplacian.nnz,
                 "rank": scored.rank,
             }
         )
@@ -351,7 +339,7 @@ def cmd_verify(cfg: RunConfig) -> VerifyReport:
         mean_deviation_target=math.sqrt(cfg.epsilon) / 6.0,
         oversampling_condition=_oversampling_condition(cfg, profile.rank),
         max_sv_deviation_quantiles=quantiles,
-        lemma_max_relerr=_lemma_max_relerr(g, profile),
+        lemma_max_relerr=_lemma_max_relerr(g, profile, effective_resistances(g)),
         records=tuple(records),
     )
 
@@ -374,28 +362,30 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def run_report(cfg: RunConfig) -> dict[str, Any]:
-    """Dispatch on cfg.mode and wrap the payload in the report envelope."""
+def _verify_results(cfg: RunConfig) -> dict[str, Any]:
     t0 = time.perf_counter()
-    if cfg.mode == "leverage":
-        results = cmd_leverage(cfg)
-    elif cfg.mode == "resistance":
-        results = cmd_resistance(cfg)
-    elif cfg.mode == "sparsify":
-        results = cmd_sparsify(cfg)
-    elif cfg.mode == "solve":
-        results = cmd_solve(cfg)
-    elif cfg.mode == "verify":
-        results = dataclasses.asdict(cmd_verify(cfg))
-        results["records"] = list(results["records"])
-        results["timings"] = {"total": time.perf_counter() - t0}
-    else:  # unreachable; RunConfig rejects unknown modes
-        raise ParameterError(f"unknown mode {cfg.mode!r}")
+    results = dataclasses.asdict(cmd_verify(cfg))
+    results["timings"] = {"total": time.perf_counter() - t0}
+    return results
+
+
+_COMMANDS = {
+    "leverage": cmd_leverage,
+    "resistance": cmd_resistance,
+    "sparsify": cmd_sparsify,
+    "solve": cmd_solve,
+    "verify": _verify_results,
+}
+MODES = tuple(_COMMANDS)
+
+
+def run_report(cfg: RunConfig) -> dict[str, Any]:
+    """Run cfg.mode's command and wrap its payload in the report envelope."""
     return _jsonable(
         {
             "mode": cfg.mode,
             "config": dataclasses.asdict(cfg),
-            "results": results,
+            "results": _COMMANDS[cfg.mode](cfg),
             "version": VERSION,
         }
     )

@@ -1,11 +1,13 @@
 """Randomized edge sampling and Laplacian sparsification.
 
 Edges are drawn i.i.d. with replacement from a probability vector that is
-(or dominates a fraction of) the normalized leverage scores. Each drawn edge
-contributes its rank-1 Laplacian term rescaled by 1/(r p_i), so the sparsifier
-is an unbiased estimator of the full Laplacian. Repeated draws of the same
-edge accumulate into a single reweighted edge; the r-column sampling operator
-is never materialized.
+(or dominates a fraction of) the normalized leverage scores. Each draw
+contributes its edge's rank-1 Laplacian term rescaled by 1/(r p_i), so the
+sparsifier is an unbiased estimator of the full Laplacian. It depends on the
+draws only through the per-edge counts c_i, which are drawn directly: the
+sparsifier is the subset of drawn edges, edge i reweighted by c_i / (r p_i).
+Neither the r-length draw sequence nor the r-column sampling operator is
+ever materialized, so memory does not grow with r.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import ParameterError
-from .graphs import IncidenceFactors
+from .graphs import IncidenceFactors, _assemble_laplacian
 
 _PROB_SUM_TOL = 1e-12
 _SEED_MAX = 2**64
+#: the multinomial draw counts in signed 64-bit integers
+_R_MAX = 2**63
 
 
 @dataclass(frozen=True)
@@ -31,8 +35,8 @@ class SamplingPlan:
     beta            leverage-floor fraction the distribution is assumed to meet
     epsilon         target relative accuracy of the downstream solve
     c0              oversampling constant in the sample-count rule
-    r               number of i.i.d. draws
-    seed            64-bit RNG seed; fixes the draw sequence exactly
+    r               number of i.i.d. draws, below 2**63
+    seed            64-bit RNG seed; fixes the per-edge draw counts exactly
     """
 
     probabilities: np.ndarray
@@ -56,8 +60,10 @@ class SamplingPlan:
             raise ParameterError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not self.c0 > 0.0:
             raise ParameterError(f"c0 must be positive, got {self.c0}")
-        if not isinstance(self.r, (int, np.integer)) or self.r < 1:
-            raise ParameterError(f"sample count must be a positive integer, got {self.r!r}")
+        if not isinstance(self.r, (int, np.integer)) or not 0 < self.r < _R_MAX:
+            raise ParameterError(
+                f"sample count must be a positive integer below 2**63, got {self.r!r}"
+            )
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < _SEED_MAX:
             raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         p.setflags(write=False)
@@ -72,26 +78,20 @@ class SamplingPlan:
 
 @dataclass(frozen=True)
 class SparsifiedSystem:
-    """A sampled, rescaled Laplacian together with how it was assembled.
+    """A reweighted subset of a graph's edges and its Laplacian.
 
-    samples     the r drawn edge indices, in draw order
-    laplacian   n x n sparse symmetric matrix built from the draws
-    aggregated  edge index -> accumulated rescaled weight w_i count_i / (r p_i)
-    nnz         stored nonzeros of ``laplacian``; at most n + 2 r
+    edges       indices of the drawn edges, ascending
+    weights     their new weights w_i c_i / (r p_i), c_i the edge's draw count
+    laplacian   n x n sparse symmetric Laplacian of the reweighted edges
     """
 
-    samples: np.ndarray
+    edges: np.ndarray
+    weights: np.ndarray
     laplacian: sparse.csr_matrix
-    aggregated: dict[int, float]
-    nnz: int
-
-    @property
-    def n(self) -> int:
-        return int(self.laplacian.shape[0])
 
     @property
     def distinct_edges(self) -> int:
-        return len(self.aggregated)
+        return int(self.edges.size)
 
 
 def sample_count(n: int, epsilon: float, beta: float = 1.0, c0: float = 1.0) -> int:
@@ -117,86 +117,66 @@ def sample_count(n: int, epsilon: float, beta: float = 1.0, c0: float = 1.0) -> 
     return math.ceil(2.0 * x * math.log(x))
 
 
-def _last_positive_index(p: np.ndarray) -> int:
-    return int(np.flatnonzero(p > 0.0)[-1])
+def draw_counts(plan: SamplingPlan) -> np.ndarray:
+    """Per-edge counts of plan.r i.i.d. draws from plan.probabilities.
 
-
-def draw_samples(plan: SamplingPlan) -> np.ndarray:
-    """Draw plan.r i.i.d. edge indices from plan.probabilities.
-
-    Inverse-CDF over the cumulative vector with binary search, seeded by
-    plan.seed, so the sequence is identical across runs and platforms.
+    The sparsifier depends on the draws only through these counts, so they
+    are drawn directly as one multinomial vector, seeded by plan.seed: O(m)
+    time and memory for any r. numpy hands any rounding remainder of the
+    probabilities to the last category, so the draw is restricted to the
+    edges with mass and zero-probability edges get no draws by construction.
+    Same seed and same numpy give the same counts.
     """
+    support = np.flatnonzero(plan.probabilities > 0.0)
+    counts = np.zeros(plan.m, dtype=np.int64)
     rng = np.random.default_rng(plan.seed)
-    uniforms = rng.random(plan.r)
-    cdf = np.cumsum(plan.probabilities)
-    idx = np.searchsorted(cdf, uniforms, side="right")
-    # cumulative rounding can leave cdf[-1] a hair below 1; those draws
-    # belong to the final edge that has any mass
-    overflow = idx >= plan.m
-    if np.any(overflow):
-        idx[overflow] = _last_positive_index(plan.probabilities)
-    idx = idx.astype(np.int64)
-    idx.setflags(write=False)
-    return idx
+    counts[support] = rng.multinomial(plan.r, plan.probabilities[support])
+    counts.setflags(write=False)
+    return counts
+
+
+def _rescaled_hits(plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Drawn edges and their rescaling c_i / (r p_i), from the plan's counts."""
+    counts = draw_counts(plan)
+    hit = np.flatnonzero(counts)
+    p = plan.probabilities[hit]
+    if np.any(p == 0.0):
+        raise RuntimeError("drew an edge with zero probability")
+    return hit, counts[hit] / (plan.r * p)
 
 
 def build_sparsifier(factors: IncidenceFactors, plan: SamplingPlan) -> SparsifiedSystem:
-    """Assemble the sampled Laplacian by accumulating rescaled edge terms.
+    """Keep the drawn edges, reweighted, and assemble their Laplacian.
 
-    Each draw of edge i contributes w_i b_i b_i^T / (r p_i); draws of the
-    same edge merge into one edge of weight w_i count_i / (r p_i).
+    Edge i drawn c_i times contributes c_i w_i b_i b_i^T / (r p_i), i.e. one
+    edge of weight w_i c_i / (r p_i). The counts come from draw_counts(plan).
     """
     if plan.m != factors.m:
         raise ParameterError(
             f"plan covers {plan.m} edges but the graph has {factors.m}"
         )
-    samples = draw_samples(plan)
-    counts = np.bincount(samples, minlength=factors.m)
-    hit = np.flatnonzero(counts)
-    if np.any(plan.probabilities[hit] == 0.0):
-        raise RuntimeError("drew an edge with zero probability")
-    scale = counts[hit] / (plan.r * plan.probabilities[hit])
+    hit, scale = _rescaled_hits(plan)
     weights = factors.weights[hit] * scale
-    lo = factors.lo[hit]
-    hi = factors.hi[hit]
-    n = factors.n
-    rows = np.concatenate([lo, hi, lo, hi])
-    cols = np.concatenate([lo, hi, hi, lo])
-    vals = np.concatenate([weights, weights, -weights, -weights])
-    lap = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    lap.sum_duplicates()
-    aggregated = {int(i): float(w) for i, w in zip(hit, weights)}
-    return SparsifiedSystem(
-        samples=samples,
-        laplacian=lap,
-        aggregated=aggregated,
-        nnz=int(lap.nnz),
-    )
+    lap = _assemble_laplacian(factors.n, factors.lo[hit], factors.hi[hit], weights)
+    hit.setflags(write=False)
+    weights.setflags(write=False)
+    return SparsifiedSystem(edges=hit, weights=weights, laplacian=lap)
 
 
-def concentration_check(
-    basis: np.ndarray,
-    plan: SamplingPlan,
-    samples: np.ndarray | None = None,
-) -> float:
+def concentration_check(basis: np.ndarray, plan: SamplingPlan) -> float:
     """Spectral-norm deviation of the sampled basis Gram matrix from identity.
 
-    Draws the plan's edges (or reuses ``samples`` when the caller already
-    drew them) and returns ||U^T D U - I||_2 where D holds count_i / (r p_i)
-    on the diagonal. This equals the largest |sigma^2 - 1| over the singular
-    values of the sampled, rescaled basis rows, which is the quantity the
-    sparsification guarantee controls.
+    Draws the same counts as build_sparsifier for the same plan, and returns
+    ||U^T D U - I||_2 where D holds c_i / (r p_i) on the diagonal. This
+    equals the largest |sigma^2 - 1| over the singular values of the sampled,
+    rescaled basis rows, which is the quantity the sparsification guarantee
+    controls.
     """
     if basis.ndim != 2 or basis.shape[0] != plan.m:
         raise ParameterError(
             f"basis must be {plan.m} x rank, got shape {getattr(basis, 'shape', None)}"
         )
-    if samples is None:
-        samples = draw_samples(plan)
-    counts = np.bincount(samples, minlength=plan.m)
-    hit = np.flatnonzero(counts)
-    scale = counts[hit] / (plan.r * plan.probabilities[hit])
+    hit, scale = _rescaled_hits(plan)
     rows = basis[hit]
     gram = rows.T @ (rows * scale[:, None])
     gram = 0.5 * (gram + gram.T)

@@ -2,7 +2,8 @@
 
 Everything here deliberately takes a different route than the package:
 eigendecomposition instead of singular values, pivoted QR instead of the
-SVD basis, pure-Python accumulation instead of sparse assembly. Slow and
+SVD basis, pure-Python accumulation instead of sparse assembly, an
+inverse-CDF draw sequence instead of multinomial counts. Slow and
 dense is fine; these only run on small graphs.
 """
 
@@ -56,6 +57,18 @@ def leverage_by_qr(g: WeightedGraph) -> np.ndarray:
     rank = int(np.sum(diag > diag[0] * max(phi.shape) * np.finfo(float).eps))
     basis = q[:, :rank]
     return np.einsum("ij,ij->i", basis, basis)
+
+
+def inverse_cdf_draws(probabilities: np.ndarray, r: int, seed: int) -> np.ndarray:
+    """r i.i.d. edge indices by inverse CDF: uniforms, cumulative sum, binary search.
+
+    Cumulative rounding can leave the last CDF entry a hair below 1; uniforms
+    beyond it belong to the final edge that has any mass.
+    """
+    uniforms = np.random.default_rng(seed).random(r)
+    idx = np.searchsorted(np.cumsum(probabilities), uniforms, side="right")
+    idx[idx >= len(probabilities)] = np.flatnonzero(probabilities > 0.0)[-1]
+    return idx
 
 
 def materialized_sampler_product(

@@ -129,3 +129,21 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert rs.VERSION in out
+
+
+def test_billion_draws_stay_small(tri_file, capsys):
+    code, out, _ = run(
+        capsys, "sparsify", "--graph", tri_file, "--r-override", "1000000000"
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["r"] == 1000000000
+    assert results["distinct_edges"] == 3
+
+
+def test_r_override_beyond_int64_rejected(tri_file, capsys):
+    code, _, err = run(
+        capsys, "sparsify", "--graph", tri_file, "--r-override", str(2**63)
+    )
+    assert code == 1
+    assert "2**63" in err

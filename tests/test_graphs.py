@@ -103,6 +103,15 @@ class TestLaplacian:
         assert np.max(np.abs(L - via_factors)) <= 1e-12 * scale
         np.testing.assert_allclose(L, dense_laplacian(g), atol=1e-12 * scale)
 
+    def test_parallel_edges_exactly_symmetric(self):
+        # nine parallel edges whose (0, 1) and (1, 0) sums differ in the last
+        # bit when the two triangles are accumulated separately
+        weights = [1.0, 1.1] + [1.0] * 6 + [56.706452722149336]
+        g = rs.WeightedGraph(2, [(0, 1, w) for w in weights])
+        L = rs.laplacian_of(g).toarray()
+        assert np.max(np.abs(L - L.T)) == 0.0
+        assert L[0, 0] == pytest.approx(sum(weights), rel=1e-15)
+
     @given(weighted_graphs())
     @settings(max_examples=60, deadline=None)
     def test_laplacian_invariants(self, g):

@@ -193,6 +193,27 @@ class TestRunReport:
         b["results"].pop("timings")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    @pytest.mark.parametrize("mode", ["resistance", "verify"])
+    def test_pinv_cross_check_runs_once(self, graph_file, triangle, monkeypatch, mode):
+        from resist_sketch import harness
+
+        calls = []
+        original = harness.effective_resistances
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(harness, "effective_resistances", counted)
+        rs.run_report(cfg_for(graph_file(triangle), mode=mode, trials=3))
+        assert len(calls) == 1
+
+    def test_every_mode_reports_timings(self, graph_file, triangle):
+        for mode in rs.harness.MODES:
+            report = rs.run_report(cfg_for(graph_file(triangle), mode=mode, trials=2))
+            assert report["mode"] == mode
+            assert report["results"]["timings"]["total"] >= 0.0
+
     def test_jsonable_scrubs_non_finite(self):
         from resist_sketch.harness import _jsonable
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resist_sketch as rs
+from resist_sketch import sampling
 from conftest import connected_graphs
-from oracles import materialized_sampler_product
+from oracles import inverse_cdf_draws, materialized_sampler_product
 
 
 def plan_for(g, r=500, seed=0, beta=1.0, epsilon=0.5):
@@ -78,7 +80,7 @@ class TestSamplingPlan:
         p = np.array([1.0])
         for kwargs in (
             dict(beta=0.0), dict(epsilon=1.0), dict(c0=-1.0),
-            dict(r=0), dict(seed=-1), dict(seed=2**64),
+            dict(r=0), dict(r=2**63), dict(seed=-1), dict(seed=2**64),
         ):
             full = dict(beta=1.0, epsilon=0.5, c0=1.0, r=10, seed=0)
             full.update(kwargs)
@@ -95,20 +97,22 @@ class TestSamplingPlan:
 
 
 class TestDrawSamples:
+    """draw_counts: the per-edge counts of plan.r i.i.d. draws."""
+
     def test_degenerate_distribution(self):
         plan = rs.SamplingPlan(
             probabilities=np.array([1.0, 0.0, 0.0]),
             beta=1.0, epsilon=0.5, c0=1.0, r=200, seed=3,
         )
-        assert np.all(rs.draw_samples(plan) == 0)
+        np.testing.assert_array_equal(rs.draw_counts(plan), [200, 0, 0])
 
     def test_deterministic(self, triangle):
         plan = plan_for(triangle, r=1000, seed=42)
-        np.testing.assert_array_equal(rs.draw_samples(plan), rs.draw_samples(plan))
+        np.testing.assert_array_equal(rs.draw_counts(plan), rs.draw_counts(plan))
 
     def test_seed_changes_sequence(self, triangle):
-        a = rs.draw_samples(plan_for(triangle, r=1000, seed=1))
-        b = rs.draw_samples(plan_for(triangle, r=1000, seed=2))
+        a = rs.draw_counts(plan_for(triangle, r=1000, seed=1))
+        b = rs.draw_counts(plan_for(triangle, r=1000, seed=2))
         assert not np.array_equal(a, b)
 
     def test_uniform_band(self):
@@ -117,25 +121,63 @@ class TestDrawSamples:
             probabilities=np.ones(3) / 3,
             beta=1.0, epsilon=0.5, c0=1.0, r=30000, seed=20260818,
         )
-        counts = np.bincount(rs.draw_samples(plan), minlength=3)
+        counts = rs.draw_counts(plan)
         assert counts.sum() == 30000
         assert np.all(counts >= 9600) and np.all(counts <= 10400)
 
     def test_zero_probability_edges_never_drawn(self):
         p = np.array([0.25, 0.0, 0.75, 0.0])
         plan = rs.SamplingPlan(probabilities=p, beta=1.0, epsilon=0.5, c0=1.0, r=5000, seed=11)
-        counts = np.bincount(rs.draw_samples(plan), minlength=4)
+        counts = rs.draw_counts(plan)
         assert counts[1] == 0 and counts[3] == 0
+        assert counts.sum() == 5000
 
     def test_trailing_zero_probability_with_short_cdf(self):
-        # force cumulative rounding shortfall; overflow draws must land on
-        # the last edge with mass, not on the trailing zero-probability one
+        # probabilities whose sum falls a hair short of 1; the rounding
+        # remainder must land on an edge with mass, not on the trailing
+        # zero-probability one
         p = np.full(7, 1.0 / 7.0)
         p = np.append(p, 0.0)
         p = p / p.sum()
+        assert np.cumsum(p)[-1] < 1.0
         plan = rs.SamplingPlan(probabilities=p, beta=1.0, epsilon=0.5, c0=1.0, r=100000, seed=5)
-        counts = np.bincount(rs.draw_samples(plan), minlength=8)
+        counts = rs.draw_counts(plan)
         assert counts[7] == 0
+        assert counts.sum() == 100000
+
+    def test_counts_frozen_int64(self, triangle):
+        counts = rs.draw_counts(plan_for(triangle, r=100, seed=0))
+        assert counts.dtype == np.int64 and counts.shape == (3,)
+        with pytest.raises(ValueError):
+            counts[0] = 1
+
+    def test_histograms_match_inverse_cdf_oracle(self):
+        # Both samplers draw multinomial(r, p) counts; over many seeds their
+        # per-edge means and variances must agree with r p and r p (1 - p).
+        p = np.array([0.4, 0.0, 0.3, 0.15, 0.1, 0.05, 0.0])
+        r, seeds = 2000, 400
+        ours = np.array([
+            rs.draw_counts(rs.SamplingPlan(
+                probabilities=p, beta=1.0, epsilon=0.5, c0=1.0, r=r, seed=s
+            ))
+            for s in range(seeds)
+        ])
+        oracle = np.array([
+            np.bincount(inverse_cdf_draws(p, r, s), minlength=p.size)
+            for s in range(seeds)
+        ])
+        var = r * p * (1.0 - p)
+        for counts in (ours, oracle):
+            assert np.all(counts.sum(axis=1) == r)
+            assert np.all(counts[:, p == 0.0] == 0)
+            # mean within 5 standard errors of r p
+            assert np.all(np.abs(counts.mean(axis=0) - r * p) <= 5.0 * np.sqrt(var / seeds))
+            # sample variance within 30% of the multinomial variance
+            live = p > 0.0
+            ratio = counts[:, live].var(axis=0, ddof=1) / var[live]
+            assert np.all(np.abs(ratio - 1.0) <= 0.3)
+        gap = np.abs(ours.mean(axis=0) - oracle.mean(axis=0))
+        assert np.all(gap <= 5.0 * np.sqrt(2.0 * var / seeds))
 
 
 class TestBuildSparsifier:
@@ -153,21 +195,23 @@ class TestBuildSparsifier:
     def test_matches_materialized_operator(self, triangle):
         factors = rs.incidence_factors(triangle)
         plan = plan_for(triangle, r=400, seed=99)
+        counts = rs.draw_counts(plan)
         system = rs.build_sparsifier(factors, plan)
         reference = materialized_sampler_product(
             factors.incidence.toarray(),
             factors.weights,
             plan.probabilities,
-            system.samples,
+            np.repeat(np.arange(triangle.m), counts),
         )
         np.testing.assert_allclose(system.laplacian.toarray(), reference, atol=1e-12)
 
     def test_aggregated_weights(self, triangle):
         factors = rs.incidence_factors(triangle)
         plan = plan_for(triangle, r=300, seed=4)
+        counts = rs.draw_counts(plan)
         system = rs.build_sparsifier(factors, plan)
-        counts = np.bincount(system.samples, minlength=3)
-        for i, w in system.aggregated.items():
+        np.testing.assert_array_equal(system.edges, np.flatnonzero(counts))
+        for i, w in zip(system.edges, system.weights):
             expected = factors.weights[i] * counts[i] / (plan.r * plan.probabilities[i])
             assert w == pytest.approx(expected, rel=1e-14)
 
@@ -181,9 +225,36 @@ class TestBuildSparsifier:
         plan = plan_for(triangle, r=800, seed=123)
         a = rs.build_sparsifier(factors, plan)
         b = rs.build_sparsifier(factors, plan)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        np.testing.assert_array_equal(a.edges, b.edges)
         assert (a.laplacian != b.laplacian).nnz == 0
-        assert a.aggregated == b.aggregated
+        np.testing.assert_array_equal(a.weights, b.weights)
+
+    def test_zero_probability_hit_rejected(self, monkeypatch):
+        # draw_counts never hits a zero-probability edge; a sampler that did
+        # must be caught rather than divide by zero
+        g = rs.WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        plan = rs.SamplingPlan(
+            probabilities=np.array([1.0, 0.0]), beta=1.0, epsilon=0.5, c0=1.0, r=4, seed=0
+        )
+        monkeypatch.setattr(sampling, "draw_counts", lambda plan: np.array([3, 1]))
+        with pytest.raises(RuntimeError, match="zero probability"):
+            rs.build_sparsifier(rs.incidence_factors(g), plan)
+        with pytest.raises(RuntimeError, match="zero probability"):
+            rs.concentration_check(np.eye(2), plan)
+
+    def test_memory_independent_of_r(self):
+        # 10^12 draws on complete(8): counts are O(m), nothing of size r
+        g = rs.complete(8)
+        factors = rs.incidence_factors(g)
+        plan = plan_for(g, r=10**12, seed=1)
+        tracemalloc.start()
+        try:
+            system = rs.build_sparsifier(factors, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert system.distinct_edges == g.m
 
     @given(connected_graphs(), st.integers(min_value=1, max_value=2000),
            st.integers(min_value=0, max_value=2**32))
@@ -191,6 +262,7 @@ class TestBuildSparsifier:
     def test_sparsifier_invariants(self, g, r, seed):
         factors = rs.incidence_factors(g)
         plan = plan_for(g, r=r, seed=seed)
+        counts = rs.draw_counts(plan)
         system = rs.build_sparsifier(factors, plan)
         lap = system.laplacian.toarray()
         scale = max(1.0, np.abs(lap).max())
@@ -198,8 +270,8 @@ class TestBuildSparsifier:
         assert np.max(np.abs(lap - lap.T)) == 0.0
         assert np.linalg.eigvalsh(lap).min() >= -1e-10 * scale
         assert system.distinct_edges <= min(r, g.m)
-        assert system.nnz <= g.n + 2 * r
-        assert len(system.samples) == r
+        assert system.laplacian.nnz <= g.n + 2 * r
+        assert counts.sum() == r
 
     def test_unbiased_mean(self, triangle):
         # trial mean over 500 draws at r=1000 lands entrywise within 0.05
@@ -223,22 +295,28 @@ class TestConcentrationCheck:
     def test_equals_singular_value_deviation(self, triangle):
         prof = rs.spectral_profile(rs.incidence_factors(triangle))
         plan = plan_for(triangle, r=400, seed=99)
-        samples = rs.draw_samples(plan)
+        counts = rs.draw_counts(plan)
+        samples = np.repeat(np.arange(triangle.m), counts)
         S = np.zeros((triangle.m, plan.r))
         for t, i in enumerate(samples):
             S[i, t] = 1.0 / np.sqrt(plan.r * plan.probabilities[i])
         sv = np.linalg.svd(S.T @ prof.basis, compute_uv=False)
         expected = float(np.max(np.abs(sv**2 - 1.0)))
-        got = rs.concentration_check(prof.basis, plan, samples=samples)
+        got = rs.concentration_check(prof.basis, plan)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_redrawing_matches_reuse(self, triangle):
-        prof = rs.spectral_profile(rs.incidence_factors(triangle))
+        # the check redraws the sparsifier's counts: its deviation is that of
+        # the edges and rescalings build_sparsifier kept
+        factors = rs.incidence_factors(triangle)
+        prof = rs.spectral_profile(factors)
         plan = plan_for(triangle, r=600, seed=31)
-        system = rs.build_sparsifier(rs.incidence_factors(triangle), plan)
-        assert rs.concentration_check(prof.basis, plan) == rs.concentration_check(
-            prof.basis, plan, samples=system.samples
-        )
+        system = rs.build_sparsifier(factors, plan)
+        rows = prof.basis[system.edges]
+        scale = system.weights / factors.weights[system.edges]
+        eigs = np.linalg.eigvalsh(rows.T @ (rows * scale[:, None]))
+        expected = float(np.max(np.abs(eigs - 1.0)))
+        assert rs.concentration_check(prof.basis, plan) == pytest.approx(expected, abs=1e-12)
 
     def test_shape_mismatch_rejected(self, triangle, single_edge):
         prof = rs.spectral_profile(rs.incidence_factors(single_edge))
