@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
 
 import click
 import numpy as np
 
-from .errors import FactorizationError, GraphParseError, ParameterError
-from .harness import RunConfig, run_report
+from .errors import SEED_BOUND, FactorizationError, GraphParseError, ParameterError
+from .harness import _COMMANDS, RunConfig, run_report
 from .version import VERSION
-
-_U64_MAX = 2**64 - 1
 
 
 def _pipeline_options(fn):
@@ -64,7 +61,7 @@ def _pipeline_options(fn):
             "--seed",
             default=0,
             show_default=True,
-            type=click.IntRange(0, _U64_MAX),
+            type=click.IntRange(0, SEED_BOUND - 1),
             help="Master seed; fixes the right-hand side and every draw.",
         ),
         click.option(
@@ -93,55 +90,24 @@ def _pipeline_options(fn):
     return fn
 
 
-def _execute(mode: str, out_path: str | None, **kwargs) -> None:
-    cfg = RunConfig(mode=mode, **kwargs)
-    report = run_report(cfg)
-    text = json.dumps(report, indent=2, allow_nan=False)
-    if out_path is None:
-        click.echo(text)
-    else:
-        Path(out_path).write_text(text + "\n", encoding="utf-8")
-
-
 @click.group()
 @click.version_option(version=VERSION, prog_name="resist-sketch")
 def cli() -> None:
     """Leverage-score edge sampling for Laplacian least-squares problems."""
 
 
-@cli.command()
-@_pipeline_options
-def leverage(out_path, **kwargs) -> None:
-    """Per-edge leverage scores, resistances, and sampling probabilities."""
-    _execute("leverage", out_path, **kwargs)
+def _add_subcommand(mode: str, command) -> None:
+    def execute(out_path: str | None, **kwargs) -> None:
+        report = run_report(RunConfig(mode=mode, **kwargs))
+        with click.open_file(out_path or "-", "w", encoding="utf-8") as out:
+            click.echo(json.dumps(report, indent=2, allow_nan=False), file=out)
+
+    summary = command.__doc__.partition("\n")[0]
+    cli.command(name=mode, help=summary)(_pipeline_options(execute))
 
 
-@cli.command()
-@_pipeline_options
-def resistance(out_path, **kwargs) -> None:
-    """Effective resistances via the dense pseudoinverse, with cross-check."""
-    _execute("resistance", out_path, **kwargs)
-
-
-@cli.command()
-@_pipeline_options
-def sparsify(out_path, **kwargs) -> None:
-    """Draw one sparsifier and report its size and concentration deviation."""
-    _execute("sparsify", out_path, **kwargs)
-
-
-@cli.command()
-@_pipeline_options
-def solve(out_path, **kwargs) -> None:
-    """Solve the exact and sparsified systems once and compare them."""
-    _execute("solve", out_path, **kwargs)
-
-
-@cli.command()
-@_pipeline_options
-def verify(out_path, **kwargs) -> None:
-    """Monte Carlo check of the accuracy and concentration guarantees."""
-    _execute("verify", out_path, **kwargs)
+for _mode, _command in _COMMANDS.items():
+    _add_subcommand(_mode, _command)
 
 
 def main(argv: list[str] | None = None) -> int:

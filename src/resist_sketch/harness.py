@@ -1,10 +1,11 @@
 """Experiment harness: configured pipelines and Monte Carlo verification.
 
 Each command takes a RunConfig, runs one pipeline (score, sparsify, solve,
-or a repeated-trial verification), and returns a JSON-ready payload. All
-randomness flows from the config seed: the right-hand side uses sub-stream 0,
-trial t uses sub-stream 1 + t, so reports are reproducible bit for bit and
-trials are independent of each other and of the right-hand side.
+or a repeated-trial verification) and returns its payload; run_report times
+it and wraps it in the JSON report envelope. All randomness flows from the
+config seed: the right-hand side uses sub-stream 0, trial t uses sub-stream
+1 + t, so reports are reproducible bit for bit and trials are independent of
+each other and of the right-hand side.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from . import io
-from .errors import ParameterError
+from .errors import FactorizationError, ParameterError, check
 from .graphs import IncidenceFactors, WeightedGraph, incidence_factors, laplacian_of
 from .sampling import (
     SamplingPlan,
@@ -35,7 +36,8 @@ from .spectral import (
 )
 from .version import VERSION
 
-_SEED_MAX = 2**64
+#: worst relative gap between the two resistance routes a resistance report may carry
+_CROSS_CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -55,14 +57,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ParameterError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ParameterError(f"beta must be in (0, 1], got {self.beta}")
-        if not self.c0 > 0.0:
-            raise ParameterError(f"c0 must be positive, got {self.c0}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _SEED_MAX:
-            raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        check(epsilon=self.epsilon, beta=self.beta, c0=self.c0, seed=self.seed)
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ParameterError(f"trials must be a positive integer, got {self.trials!r}")
         if self.r_override is not None and (
@@ -139,16 +134,14 @@ def _lemma_max_relerr(
     return float(np.max(gap / np.maximum(profile.leverage, 1e-300)))
 
 
-def _plan_for(
-    cfg: RunConfig, profile: SpectralProfile, n: int, seed: int
-) -> tuple[SamplingPlan, str]:
+def _plan_for(cfg: RunConfig, profile: SpectralProfile, n: int) -> tuple[SamplingPlan, str]:
     p = leverage_probabilities(profile, beta=cfg.beta)
     if cfg.r_override is not None:
         r, source = cfg.r_override, "override"
     else:
         r, source = sample_count(n, cfg.epsilon, cfg.beta, cfg.c0), "rule"
     plan = SamplingPlan(
-        probabilities=p, beta=cfg.beta, epsilon=cfg.epsilon, c0=cfg.c0, r=r, seed=seed
+        probabilities=p, beta=cfg.beta, epsilon=cfg.epsilon, c0=cfg.c0, r=r, seed=cfg.seed
     )
     return plan, source
 
@@ -170,8 +163,7 @@ def _analyze(cfg: RunConfig) -> tuple[WeightedGraph, IncidenceFactors, SpectralP
 
 
 def cmd_leverage(cfg: RunConfig) -> dict[str, Any]:
-    """Per-edge scores: leverage, resistance, and sampling probabilities."""
-    t0 = time.perf_counter()
+    """Per-edge leverage scores, resistances, and sampling probabilities."""
     g, factors, profile = _analyze(cfg)
     p = leverage_probabilities(profile, beta=cfg.beta)
     return {
@@ -183,30 +175,36 @@ def cmd_leverage(cfg: RunConfig) -> dict[str, Any]:
         "probabilities": p.tolist(),
         "leverage_sum": float(profile.leverage.sum()),
         "max_leverage": float(profile.leverage.max()),
-        "timings": {"total": time.perf_counter() - t0},
     }
 
 
 def cmd_resistance(cfg: RunConfig) -> dict[str, Any]:
-    """Per-edge effective resistances via the dense pseudoinverse route."""
-    t0 = time.perf_counter()
+    """Effective resistances via the dense pseudoinverse, with cross-check.
+
+    A cross-check gap above 1e-8 raises FactorizationError, not wrong values.
+    """
     g, factors, profile = _analyze(cfg)
     dense_route = effective_resistances(g)
+    gap = _lemma_max_relerr(g, profile, dense_route)
+    if not gap <= _CROSS_CHECK_TOL:
+        s = profile.singular_values
+        raise FactorizationError(
+            f"pseudoinverse resistances disagree with the leverage route by {gap:.3e}",
+            condition_estimate=float(s[0] / s[-1]) ** 2,
+        )
     return {
         "n": g.n,
         "m": g.m,
         "rank": profile.rank,
         "resistance": dense_route.tolist(),
-        "lemma_max_relerr": _lemma_max_relerr(g, profile, dense_route),
-        "timings": {"total": time.perf_counter() - t0},
+        "lemma_max_relerr": gap,
     }
 
 
 def cmd_sparsify(cfg: RunConfig) -> dict[str, Any]:
     """Draw one sparsifier and report its size and concentration deviation."""
-    t0 = time.perf_counter()
     g, factors, profile = _analyze(cfg)
-    plan, source = _plan_for(cfg, profile, g.n, cfg.seed)
+    plan, source = _plan_for(cfg, profile, g.n)
     system = build_sparsifier(factors, plan)
     deviation = concentration_check(profile.basis, plan)
     return {
@@ -220,18 +218,17 @@ def cmd_sparsify(cfg: RunConfig) -> dict[str, Any]:
         "nnz": system.laplacian.nnz,
         "deviation": deviation,
         "concentration_bound": math.sqrt(cfg.epsilon) / 2.0,
-        "timings": {"total": time.perf_counter() - t0},
     }
 
 
 def cmd_solve(cfg: RunConfig) -> dict[str, Any]:
-    """End-to-end: score edges, sparsify once, solve both systems, compare."""
+    """Solve the exact and sparsified systems once and compare them."""
     t0 = time.perf_counter()
     g, factors, profile = _analyze(cfg)
     t_analyze = time.perf_counter()
     L = laplacian_of(g)
     b = _load_rhs(cfg, g.n)
-    plan, source = _plan_for(cfg, profile, g.n, cfg.seed)
+    plan, source = _plan_for(cfg, profile, g.n)
     t_plan = time.perf_counter()
     exact = solve_exact(L, b, profile=profile)
     system = build_sparsifier(factors, plan)
@@ -250,15 +247,7 @@ def cmd_solve(cfg: RunConfig) -> dict[str, Any]:
             "null_component": exact.null_component,
             "rank": exact.rank,
         },
-        "sparsified": {
-            "x": scored.x.tolist(),
-            "residual_two_norm": scored.residual_two_norm,
-            "null_component": scored.null_component,
-            "rank": scored.rank,
-            "energy_error": scored.energy_error,
-            "relative_energy_error": scored.relative_energy_error,
-            "success": scored.success,
-        },
+        "sparsified": dataclasses.asdict(scored),
         "sparsifier": {
             "distinct_edges": system.distinct_edges,
             "nnz": system.laplacian.nnz,
@@ -267,16 +256,16 @@ def cmd_solve(cfg: RunConfig) -> dict[str, Any]:
             "analyze": t_analyze - t0,
             "plan": t_plan - t_analyze,
             "solve": t_done - t_plan,
-            "total": t_done - t0,
         },
     }
 
 
 def cmd_verify(cfg: RunConfig) -> VerifyReport:
-    """Repeat the sparsify-and-solve pipeline over independent trial seeds.
+    """Monte Carlo check of the accuracy and concentration guarantees.
 
-    The graph analysis, exact solve, and right-hand side are shared across
-    trials; only the edge draws differ. Quantile and mean statistics of the
+    Repeats the sparsify-and-solve pipeline over independent trial seeds;
+    the graph analysis, exact solve, and right-hand side are shared, only the
+    edge draws differ. Quantile and mean statistics of the
     per-trial concentration deviations come back alongside the success rate
     so both the per-trial and the in-expectation guarantees can be judged.
     """
@@ -284,7 +273,7 @@ def cmd_verify(cfg: RunConfig) -> VerifyReport:
     L = laplacian_of(g)
     b = _load_rhs(cfg, g.n)
     exact = solve_exact(L, b, profile=profile)
-    plan0, source = _plan_for(cfg, profile, g.n, cfg.seed)
+    plan0, source = _plan_for(cfg, profile, g.n)
     bound = math.sqrt(cfg.epsilon) / 2.0
 
     records = []
@@ -362,30 +351,28 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _verify_results(cfg: RunConfig) -> dict[str, Any]:
-    t0 = time.perf_counter()
-    results = dataclasses.asdict(cmd_verify(cfg))
-    results["timings"] = {"total": time.perf_counter() - t0}
-    return results
-
-
 _COMMANDS = {
     "leverage": cmd_leverage,
     "resistance": cmd_resistance,
     "sparsify": cmd_sparsify,
     "solve": cmd_solve,
-    "verify": _verify_results,
+    "verify": cmd_verify,
 }
 MODES = tuple(_COMMANDS)
 
 
 def run_report(cfg: RunConfig) -> dict[str, Any]:
-    """Run cfg.mode's command and wrap its payload in the report envelope."""
+    """Run cfg.mode's command, time it, and wrap its payload in the report envelope."""
+    t0 = time.perf_counter()
+    results = _COMMANDS[cfg.mode](cfg)
+    if dataclasses.is_dataclass(results):
+        results = dataclasses.asdict(results)
+    results.setdefault("timings", {})["total"] = time.perf_counter() - t0
     return _jsonable(
         {
             "mode": cfg.mode,
             "config": dataclasses.asdict(cfg),
-            "results": _COMMANDS[cfg.mode](cfg),
+            "results": results,
             "version": VERSION,
         }
     )

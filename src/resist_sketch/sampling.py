@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import ParameterError
+from .errors import ParameterError, check
 from .graphs import IncidenceFactors, _assemble_laplacian
 
 _PROB_SUM_TOL = 1e-12
-_SEED_MAX = 2**64
 #: the multinomial draw counts in signed 64-bit integers
 _R_MAX = 2**63
 
@@ -54,18 +53,11 @@ class SamplingPlan:
             raise ParameterError("probabilities must be finite and non-negative")
         if abs(p.sum() - 1.0) > _PROB_SUM_TOL:
             raise ParameterError(f"probabilities sum to {float(p.sum())!r}, not 1")
-        if not 0.0 < self.beta <= 1.0:
-            raise ParameterError(f"beta must be in (0, 1], got {self.beta}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ParameterError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not self.c0 > 0.0:
-            raise ParameterError(f"c0 must be positive, got {self.c0}")
+        check(beta=self.beta, epsilon=self.epsilon, c0=self.c0, seed=self.seed)
         if not isinstance(self.r, (int, np.integer)) or not 0 < self.r < _R_MAX:
             raise ParameterError(
                 f"sample count must be a positive integer below 2**63, got {self.r!r}"
             )
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < _SEED_MAX:
-            raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "r", int(self.r))
@@ -103,12 +95,7 @@ def sample_count(n: int, epsilon: float, beta: float = 1.0, c0: float = 1.0) -> 
     """
     if n < 1:
         raise ParameterError(f"vertex count must be positive, got {n}")
-    if not 0.0 < epsilon < 1.0:
-        raise ParameterError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not 0.0 < beta <= 1.0:
-        raise ParameterError(f"beta must be in (0, 1], got {beta}")
-    if not c0 > 0.0:
-        raise ParameterError(f"c0 must be positive, got {c0}")
+    check(epsilon=epsilon, beta=beta, c0=c0)
     x = 36.0 * c0 * c0 * n / (beta * epsilon)
     if x <= 1.0:
         raise ParameterError(

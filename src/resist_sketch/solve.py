@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from .errors import FactorizationError, ParameterError
+from .errors import FactorizationError, ParameterError, check
 from .graphs import IncidenceFactors
 from .spectral import SpectralProfile, _svd_rank
 
@@ -147,8 +147,7 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
     space) the ratio is undefined and reported as None; the run then counts
     as a success only if the absolute energy error is negligible.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+    check(epsilon=epsilon)
     if exact.x.shape != sparsified.x.shape:
         raise ParameterError(
             f"solutions have shapes {exact.x.shape} and {sparsified.x.shape}"
@@ -157,16 +156,13 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
     reference = energy_norm(L, exact.x)
     floor = _NULL_ENERGY_FLOOR * max(1.0, float(np.dot(exact.x, exact.x)))
     if reference <= floor:
-        return dataclasses.replace(
-            sparsified,
-            energy_error=energy_error,
-            relative_energy_error=None,
-            success=bool(energy_error <= _NULL_ENERGY_SUCCESS),
-        )
-    relative = energy_error / reference
+        relative, success = None, energy_error <= _NULL_ENERGY_SUCCESS
+    else:
+        relative = energy_error / reference
+        success = relative <= epsilon
     return dataclasses.replace(
         sparsified,
         energy_error=energy_error,
         relative_energy_error=relative,
-        success=bool(relative <= epsilon),
+        success=bool(success),
     )

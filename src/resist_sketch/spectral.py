@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import FactorizationError, ParameterError
+from .errors import FactorizationError, ParameterError, check
 from .graphs import IncidenceFactors, WeightedGraph, laplacian_of
 
 
@@ -131,8 +131,7 @@ def leverage_probabilities(
     and every entry is at least beta * leverage_i / sum(leverage), the
     approximate-probability floor.
     """
-    if not 0.0 < beta <= 1.0:
-        raise ParameterError(f"beta must be in (0, 1], got {beta}")
+    check(beta=beta)
     total = float(profile.leverage.sum())
     if total <= 0.0:
         raise ParameterError("leverage scores sum to zero; nothing to sample")

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import resist_sketch as rs
 from resist_sketch.cli import main
@@ -11,6 +12,22 @@ from resist_sketch.cli import main
 def tri_file(tmp_path):
     target = tmp_path / "tri.txt"
     target.write_text("3 3\n0 1 1\n1 2 1\n0 2 1\n", encoding="utf-8")
+    return str(target)
+
+
+def bridged_triangles(tmp_path, bridge):
+    """Two unit triangles joined by one edge, whose resistance is 1/bridge.
+
+    The pseudoinverse route loses that resistance as the bridge weight shrinks.
+    """
+    g = rs.WeightedGraph(
+        6,
+        [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0),
+         (3, 5, 1.0), (2, 3, bridge)],
+    )
+    target = tmp_path / "bridge.txt"
+    with open(target, "w", encoding="utf-8") as fh:
+        rs.save_graph(g, fh)
     return str(target)
 
 
@@ -108,6 +125,40 @@ class TestExitCodes:
         code, _, _ = run(capsys, "solve", "--graph", tri_file, "--b", str(b_path))
         assert code == 1
 
+    def test_factorization_failure_exits_2(self, tri_file, capsys, monkeypatch):
+        def svd(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "svd", svd)
+        code, out, err = run(capsys, "leverage", "--graph", tri_file)
+        assert code == 2
+        assert out == ""
+        assert "numerical failure" in err and "condition estimate" in err
+
+    @pytest.mark.parametrize(
+        "bridge, code", [(1.0, 0), (1e-6, 0), (1e-10, 2), (1e-18, 2)]
+    )
+    def test_resistance_refuses_failed_cross_check(self, tmp_path, capsys, bridge, code):
+        got, out, err = run(
+            capsys, "resistance", "--graph", bridged_triangles(tmp_path, bridge)
+        )
+        assert got == code
+        if code == 0:
+            results = json.loads(out)["results"]
+            assert results["lemma_max_relerr"] <= 1e-8
+            assert results["resistance"][-1] == pytest.approx(1.0 / bridge, rel=1e-8)
+        else:
+            assert out == ""
+            assert "numerical failure" in err and "leverage route" in err
+
+    def test_verify_only_reports_failed_cross_check(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--graph", bridged_triangles(tmp_path, 1e-10),
+            "--trials", "2",
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["lemma_max_relerr"] > 1e-8
+
 
 def test_cli_determinism(tri_file, tmp_path, capsys):
     a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
@@ -123,6 +174,37 @@ def test_cli_determinism(tri_file, tmp_path, capsys):
     a["results"].pop("timings")
     b["results"].pop("timings")
     assert a == b
+
+
+_SUMMARIES = {
+    "leverage": "Per-edge leverage scores, resistances, and sampling probabilities.",
+    "resistance": "Effective resistances via the dense pseudoinverse, with cross-check.",
+    "sparsify": "Draw one sparsifier and report its size and concentration deviation.",
+    "solve": "Solve the exact and sparsified systems once and compare them.",
+    "verify": "Monte Carlo check of the accuracy and concentration guarantees.",
+}
+_OPTIONS = (
+    "--graph", "--b", "--epsilon", "--beta", "--c0", "--seed", "--trials",
+    "--r-override", "--out",
+)
+
+
+@pytest.mark.parametrize("mode", rs.harness.MODES)
+def test_mode_help(capsys, mode):
+    code, out, _ = run(capsys, mode, "--help")
+    assert code == 0
+    assert out.startswith("Usage: ") and f" {mode} [OPTIONS]\n\n" in out
+    assert f"\n  {_SUMMARIES[mode]}\n" in out
+    for option in _OPTIONS:
+        assert f"\n  {option} " in out
+    assert "0<=x<=18446744073709551615" in out
+
+
+def test_group_help_lists_every_mode(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    listed = [line.split()[0] for line in out.split("Commands:\n", 1)[1].splitlines()]
+    assert listed == sorted(_SUMMARIES)
 
 
 def test_version_flag(capsys):

@@ -39,6 +39,15 @@ class TestRunConfig:
         with pytest.raises(rs.ParameterError):
             rs.RunConfig(**base)
 
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)])
+    def test_accepts_numpy_seeds(self, graph_file, triangle, seed):
+        cfg = cfg_for(graph_file(triangle), mode="sparsify", seed=seed)
+        reference = cfg_for(graph_file(triangle), mode="sparsify", seed=5)
+        a, b = rs.run_report(cfg), rs.run_report(reference)
+        a["results"].pop("timings")
+        b["results"].pop("timings")
+        assert a == b
+
 
 class TestSeeding:
     def test_default_rhs_zero_sum_and_deterministic(self):
