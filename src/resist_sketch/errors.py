@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from numbers import Integral
 
 #: seeds are unsigned 64-bit integers: 0 <= seed < SEED_BOUND
@@ -22,28 +23,34 @@ class ParameterError(ValueError):
     """A parameter is outside its valid domain, or a supplied value fails validation."""
 
 
-#: name -> (membership test, domain as the error message states it)
+def _integer_in(lo, hi):
+    """Membership test for integers (numpy's included) in [lo, hi)."""
+    return lambda v: isinstance(v, Integral) and lo <= v < hi
+
+
+#: name -> (membership test, the error message)
 _DOMAINS = {
-    "epsilon": (lambda v: 0.0 < v < 1.0, "in (0, 1), got {}"),
-    "beta": (lambda v: 0.0 < v <= 1.0, "in (0, 1], got {}"),
-    "c0": (lambda v: v > 0.0, "positive, got {}"),
-    "seed": (
-        lambda v: isinstance(v, Integral) and 0 <= v < SEED_BOUND,
-        "an unsigned 64-bit integer, got {!r}",
-    ),
+    "epsilon": (lambda v: 0.0 < v < 1.0, "epsilon must be in (0, 1), got {}"),
+    "beta": (lambda v: 0.0 < v <= 1.0, "beta must be in (0, 1], got {}"),
+    "c0": (lambda v: v > 0.0, "c0 must be positive, got {}"),
+    "seed": (_integer_in(0, SEED_BOUND), "seed must be an unsigned 64-bit integer, got {!r}"),
+    "trials": (_integer_in(1, math.inf), "trials must be a positive integer, got {!r}"),
+    "r_override": (_integer_in(1, math.inf), "r override must be a positive integer, got {!r}"),
+    # the multinomial draw counts in signed 64-bit integers
+    "r": (_integer_in(1, 2**63), "sample count must be a positive integer below 2**63, got {!r}"),
 }
 
 
 def check(**values) -> None:
     """Raise ParameterError for the first value outside its parameter's domain."""
     for name, value in values.items():
-        accepts, domain = _DOMAINS[name]
+        accepts, message = _DOMAINS[name]
         if not accepts(value):
-            raise ParameterError(f"{name} must be {domain.format(value)}")
+            raise ParameterError(message.format(value))
 
 
 class FactorizationError(RuntimeError):
-    """A dense factorization failed to converge, or its result failed a cross-check.
+    """A dense factorization failed, or its result failed a cross-check.
 
     ``condition_estimate`` holds a rough condition number of the offending
     matrix when one could be computed, else ``inf``.

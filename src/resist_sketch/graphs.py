@@ -129,8 +129,26 @@ def laplacian_of(g: WeightedGraph) -> sparse.csr_matrix:
     return _assemble_laplacian(g.n, ends.min(axis=1), ends.max(axis=1), g.weights())
 
 
+def _components(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Component labels of a symmetric matrix's nonzero pattern, and the non-grounds.
+
+    The first vertex of each component is its ground. A Laplacian restricted
+    to the other vertices is nonsingular; its rank is their count, n - #components.
+    """
+    _, labels = csgraph.connected_components(matrix, directed=False)
+    keep = np.ones(labels.size, dtype=bool)
+    keep[np.unique(labels, return_index=True)[1]] = False
+    return labels, keep
+
+
+def _centre(v: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """v minus the mean of its rows over each component (labels from _components)."""
+    member = sparse.csr_matrix((np.ones(labels.size), (labels, np.arange(labels.size))))
+    sizes = np.bincount(labels).reshape((-1,) + (1,) * (v.ndim - 1))
+    return v - (member @ v / sizes)[labels]
+
+
 def component_count(g: WeightedGraph) -> int:
     """Number of connected components (isolated vertices count)."""
-    adj = laplacian_of(g)
-    count, _ = csgraph.connected_components(adj, directed=False)
-    return int(count)
+    _, keep = _components(laplacian_of(g))
+    return int(np.count_nonzero(~keep))

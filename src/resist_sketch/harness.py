@@ -57,15 +57,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        check(epsilon=self.epsilon, beta=self.beta, c0=self.c0, seed=self.seed)
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ParameterError(f"trials must be a positive integer, got {self.trials!r}")
-        if self.r_override is not None and (
-            not isinstance(self.r_override, int) or self.r_override < 1
-        ):
-            raise ParameterError(
-                f"r override must be a positive integer, got {self.r_override!r}"
-            )
+        check(
+            epsilon=self.epsilon, beta=self.beta, c0=self.c0, seed=self.seed, trials=self.trials
+        )
+        if self.r_override is not None:
+            check(r_override=self.r_override)
 
 
 @dataclass(frozen=True)
@@ -187,10 +183,8 @@ def cmd_resistance(cfg: RunConfig) -> dict[str, Any]:
     dense_route = effective_resistances(g)
     gap = _lemma_max_relerr(g, profile, dense_route)
     if not gap <= _CROSS_CHECK_TOL:
-        s = profile.singular_values
         raise FactorizationError(
-            f"pseudoinverse resistances disagree with the leverage route by {gap:.3e}",
-            condition_estimate=float(s[0] / s[-1]) ** 2,
+            f"pseudoinverse resistances disagree with the leverage route by {gap:.3e}"
         )
     return {
         "n": g.n,

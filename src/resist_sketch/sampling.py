@@ -22,8 +22,6 @@ from .errors import ParameterError, check
 from .graphs import IncidenceFactors, _assemble_laplacian
 
 _PROB_SUM_TOL = 1e-12
-#: the multinomial draw counts in signed 64-bit integers
-_R_MAX = 2**63
 
 
 @dataclass(frozen=True)
@@ -53,11 +51,7 @@ class SamplingPlan:
             raise ParameterError("probabilities must be finite and non-negative")
         if abs(p.sum() - 1.0) > _PROB_SUM_TOL:
             raise ParameterError(f"probabilities sum to {float(p.sum())!r}, not 1")
-        check(beta=self.beta, epsilon=self.epsilon, c0=self.c0, seed=self.seed)
-        if not isinstance(self.r, (int, np.integer)) or not 0 < self.r < _R_MAX:
-            raise ParameterError(
-                f"sample count must be a positive integer below 2**63, got {self.r!r}"
-            )
+        check(beta=self.beta, epsilon=self.epsilon, c0=self.c0, seed=self.seed, r=self.r)
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "r", int(self.r))

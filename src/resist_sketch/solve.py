@@ -18,8 +18,8 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 from .errors import FactorizationError, ParameterError, check
-from .graphs import IncidenceFactors
-from .spectral import SpectralProfile, _svd_rank
+from .graphs import IncidenceFactors, _centre, _components
+from .spectral import SpectralProfile
 
 #: below this, the reference energy counts as zero and the ratio is undefined
 _NULL_ENERGY_FLOOR = 1e-18
@@ -34,7 +34,7 @@ class SolveReport:
     x                   minimal 2-norm least-squares solution
     residual_two_norm   ||A x - b||_2 for the matrix actually solved
     null_component      |sum(x)|; near zero for connected graphs
-    rank                numerical rank the pseudoinverse was taken at
+    rank                rank of the solved matrix: n - #components of its graph
     energy_error        (x_exact - x)^T L (x_exact - x), filled by error_report
     relative_energy_error  energy_error / (x_exact^T L x_exact); None when the
                         reference energy is zero
@@ -51,12 +51,6 @@ class SolveReport:
     success: bool | None = None
 
 
-def _as_dense(matrix) -> np.ndarray:
-    if sparse.issparse(matrix):
-        return matrix.toarray()
-    return np.asarray(matrix, dtype=float)
-
-
 def _check_rhs(matrix, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     n = matrix.shape[0]
@@ -68,62 +62,58 @@ def _check_rhs(matrix, b: np.ndarray) -> np.ndarray:
 
 
 def _pinv_apply(matrix, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Minimal-norm least-squares solution via a fresh SVD of the matrix."""
-    dense = _as_dense(matrix)
+    """Minimal-norm solution of a Laplacian system, and the Laplacian's rank.
+
+    Centres b on each component of the matrix's own graph, solves by Cholesky
+    with one vertex per component grounded, and centres x on each component.
+    """
+    matrix = sparse.csr_matrix(matrix)
+    labels, keep = _components(matrix)
+    b = _centre(b, labels)
+    grounded = matrix[keep][:, keep].toarray()
     try:
-        u, s, vt = scipy.linalg.svd(dense, full_matrices=False)
+        factor = scipy.linalg.cho_factor(grounded)
     except scipy.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            f"SVD of the {dense.shape[0]}x{dense.shape[1]} system matrix failed",
-            condition_estimate=float("inf"),
-        ) from exc
-    rank = _svd_rank(s, dense.shape)
-    coeffs = (u[:, :rank].T @ b) / s[:rank]
-    return vt[:rank].T @ coeffs, rank
-
-
-def _finish(matrix, b: np.ndarray, x: np.ndarray, rank: int) -> SolveReport:
-    residual = matrix @ x - b
-    return SolveReport(
-        x=x,
-        residual_two_norm=float(np.linalg.norm(residual)),
-        null_component=float(abs(x.sum())),
-        rank=rank,
-    )
+        k = grounded.shape[0]
+        raise FactorizationError(f"Cholesky of the {k}x{k} grounded system matrix failed") from exc
+    x = np.zeros(labels.size)
+    x[keep] = scipy.linalg.cho_solve(factor, b[keep])
+    return _centre(x, labels), int(np.count_nonzero(keep))
 
 
 def solve_exact(L, b: np.ndarray, profile: SpectralProfile | None = None) -> SolveReport:
     """Minimal 2-norm solution of the full Laplacian system.
 
-    With a spectral profile the pseudoinverse is applied through the stored
-    right factor and singular values of the scaled incidence matrix (whose
-    squares are the Laplacian's nonzero eigenvalues); otherwise the Laplacian
-    is factorized directly.
+    With a spectral profile the pseudoinverse is applied through its factor,
+    x = H (H^T b); otherwise the Laplacian is factorized directly.
     """
     b = _check_rhs(L, b)
-    if profile is not None:
-        if profile.right_factor.shape[0] != L.shape[0]:
+    if profile is None:
+        x, rank = _pinv_apply(L, b)
+    else:
+        h = profile.pinv_factor
+        if h.shape[0] != L.shape[0]:
             raise ParameterError(
-                f"profile is for {profile.right_factor.shape[0]} vertices, "
-                f"matrix has {L.shape[0]}"
+                f"profile is for {h.shape[0]} vertices, matrix has {L.shape[0]}"
             )
-        v = profile.right_factor
-        x = v @ ((v.T @ b) / profile.singular_values**2)
-        return _finish(L, b, x, profile.rank)
-    x, rank = _pinv_apply(L, b)
-    return _finish(L, b, x, rank)
+        x, rank = h @ (h.T @ b), profile.rank
+    return SolveReport(
+        x=x,
+        residual_two_norm=float(np.linalg.norm(L @ x - b)),
+        null_component=float(abs(x.sum())),
+        rank=rank,
+    )
 
 
 def solve_sparsified(system, b: np.ndarray) -> SolveReport:
     """Minimal 2-norm solution of a sampled Laplacian system.
 
-    The pseudoinverse is taken at the sampled matrix's own detected rank,
-    which can fall short of the original's when too few edges were drawn;
-    the report's rank field makes that visible.
+    The pseudoinverse is taken at the sampled matrix's own rank, n minus the
+    number of components of the drawn edges, which falls short of the
+    original's when the draw misses a bridge; the report's rank field makes
+    that visible.
     """
-    b = _check_rhs(system.laplacian, b)
-    x, rank = _pinv_apply(system.laplacian, b)
-    return _finish(system.laplacian, b, x, rank)
+    return solve_exact(system.laplacian, b)
 
 
 def energy_norm(operator, x: np.ndarray) -> float:

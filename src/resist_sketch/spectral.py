@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import FactorizationError, ParameterError, check
-from .graphs import IncidenceFactors, WeightedGraph, laplacian_of
+from .graphs import IncidenceFactors, WeightedGraph, _centre, _components, laplacian_of
 
 
 @dataclass(frozen=True)
@@ -29,74 +29,59 @@ class SpectralProfile:
 
     leverage        per-edge scores in [0, 1]; they sum to ``rank``
     resistance      per-edge effective resistances, leverage / weight
-    rank            numerical rank (n - #components for a valid graph)
-    basis           m x rank matrix with orthonormal columns
-    singular_values length-rank, descending, all positive
-    right_factor    n x rank right singular vectors; the solver uses these
-                    with ``singular_values`` to apply the pseudoinverse
+    rank            n - #components
+    basis           m x rank matrix with orthonormal columns spanning the
+                    range of the scaled incidence matrix
+    pinv_factor     n x rank matrix H with H H^T the Laplacian pseudoinverse;
+                    the solver applies the pseudoinverse through it
     """
 
     leverage: np.ndarray
     resistance: np.ndarray
     rank: int
     basis: np.ndarray
-    singular_values: np.ndarray
-    right_factor: np.ndarray
-
-
-def _svd_rank(singular_values: np.ndarray, shape: tuple[int, int]) -> int:
-    # Deterministic relative cutoff: sigma <= max(m, n) * sigma_max * eps is zero.
-    if singular_values.size == 0 or singular_values[0] == 0.0:
-        return 0
-    cutoff = max(shape) * singular_values[0] * np.finfo(float).eps
-    return int(np.count_nonzero(singular_values > cutoff))
-
-
-def _condition_estimate(a: np.ndarray) -> float:
-    # Fallback diagnostic via the Gram spectrum; only used on SVD failure.
-    try:
-        vals = np.abs(scipy.linalg.eigvalsh(a.T @ a))
-        vmax = float(vals.max(initial=0.0))
-        positive = vals[vals > vmax * np.finfo(float).eps * max(a.shape)]
-        if positive.size == 0 or vmax == 0.0:
-            return float("inf")
-        return float(np.sqrt(vmax / positive.min()))
-    except Exception:
-        return float("inf")
+    pinv_factor: np.ndarray
 
 
 def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
-    """Exact leverage scores and resistances from the SVD of the scaled incidence.
+    """Exact leverage scores and resistances from a QR factor of the grounded incidence.
 
-    Any orthonormal column basis would give the same scores; the SVD is used
-    so the singular values and right factor are available to the solver.
+    Dropping one ground column per component leaves the scaled incidence with
+    full column rank; its Householder QR, rows sorted by decreasing weight to
+    stay accurate across wide weight ranges (Cox & Higham 1998), gives R. With
+    F = R^-1 (zero rows at the grounds), edge (u, v) has resistance
+    ||F[u] - F[v]||^2, and the scaled incidence times F is an orthonormal basis.
     """
     if factors.m < 1:
         raise ParameterError("graph has no edges")
-    phi = factors.scaled_incidence().toarray()
+    labels, keep = _components(factors.incidence.T @ factors.incidence)
+    rank = int(np.count_nonzero(keep))
+    order = np.argsort(-factors.weights, kind="stable")
+    phi = factors.scaled_incidence()[order][:, keep].toarray(order="F")
+    f = np.zeros((factors.n, rank))
     try:
-        u, s, vt = scipy.linalg.svd(phi, full_matrices=False)
-    except scipy.linalg.LinAlgError:
-        try:
-            u, s, vt = scipy.linalg.svd(phi, full_matrices=False, lapack_driver="gesvd")
-        except scipy.linalg.LinAlgError as exc:
-            raise FactorizationError(
-                f"SVD of the {factors.m}x{factors.n} scaled incidence matrix failed",
-                condition_estimate=_condition_estimate(phi),
-            ) from exc
-    rank = _svd_rank(s, phi.shape)
-    basis = np.ascontiguousarray(u[:, :rank])
-    leverage = np.einsum("ij,ij->i", basis, basis)
-    resistance = leverage / factors.weights
-    for arr in (leverage, resistance, basis):
+        # mode="raw" returns R as rank x rank, where mode="r" copies all m rows
+        r = scipy.linalg.qr(phi, overwrite_a=True, mode="raw")[1]
+        f[keep] = scipy.linalg.solve_triangular(r, np.eye(rank))
+    except scipy.linalg.LinAlgError as exc:
+        raise FactorizationError(
+            f"QR of the {factors.m}x{rank} grounded incidence matrix failed"
+        ) from exc
+    del phi  # free the m x rank array before allocating the basis, its same size
+    # each row of incidence @ f is one difference f[lo] - f[hi], rounded once
+    basis = factors.incidence @ f
+    resistance = np.einsum("ij,ij->i", basis, basis)
+    leverage = factors.weights * resistance
+    basis *= np.sqrt(factors.weights)[:, None]
+    pinv_factor = _centre(f, labels)
+    for arr in (leverage, resistance, basis, pinv_factor):
         arr.setflags(write=False)
     return SpectralProfile(
         leverage=leverage,
         resistance=resistance,
         rank=rank,
         basis=basis,
-        singular_values=s[:rank].copy(),
-        right_factor=np.ascontiguousarray(vt[:rank].T),
+        pinv_factor=pinv_factor,
     )
 
 

@@ -1,13 +1,16 @@
 """Independent reference computations the library must agree with.
 
 Everything here deliberately takes a different route than the package:
-eigendecomposition instead of singular values, pivoted QR instead of the
-SVD basis, pure-Python accumulation instead of sparse assembly, an
-inverse-CDF draw sequence instead of multinomial counts. Slow and
-dense is fine; these only run on small graphs.
+eigendecomposition instead of triangular factors, column-pivoted QR of the
+whole incidence matrix instead of row-sorted QR of the grounded one, exact
+rational elimination instead of floating point, pure-Python accumulation
+instead of sparse assembly, an inverse-CDF draw sequence instead of
+multinomial counts. Slow and dense is fine; these only run on small graphs.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -42,8 +45,45 @@ def resistances_by_eig(g: WeightedGraph) -> np.ndarray:
     return np.array([lp[u, u] + lp[v, v] - lp[u, v] - lp[v, u] for u, v, _ in g.edges])
 
 
+def resistances_exact(g: WeightedGraph) -> np.ndarray:
+    """Effective resistances of a connected graph in exact rational arithmetic.
+
+    Every float weight is a rational number, so Gauss-Jordan elimination on
+    the Laplacian grounded at vertex 0 gives its inverse G exactly; the
+    resistance of edge (u, v) is G[u,u] + G[v,v] - 2 G[u,v] (G is zero on the
+    ground), rounded to float once at the end.
+    """
+    n = g.n
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for u, v, w in g.edges:
+        w = Fraction(w)
+        lap[u][u] += w
+        lap[v][v] += w
+        lap[u][v] -= w
+        lap[v][u] -= w
+    k = n - 1
+    # [L_g | I], L_g the Laplacian without vertex 0's row and column
+    rows = [lap[i][1:] + [Fraction(int(i == j)) for j in range(1, n)] for i in range(1, n)]
+    for col in range(k):
+        pivot = next(i for i in range(col, k) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
+        for i in range(k):
+            f = rows[i][col]
+            if i != col and f != 0:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+
+    def inverse(a: int, b: int) -> Fraction:
+        return rows[a - 1][k + b - 1] if a and b else Fraction(0)
+
+    return np.array(
+        [float(inverse(u, u) + inverse(v, v) - 2 * inverse(u, v)) for u, v, _ in g.edges]
+    )
+
+
 def leverage_by_qr(g: WeightedGraph) -> np.ndarray:
-    """Leverage scores from a pivoted-QR orthonormal basis, not the SVD one."""
+    """Leverage scores from the Q of a column-pivoted QR of the whole scaled incidence."""
     phi = np.zeros((g.m, g.n))
     for i, (u, v, w) in enumerate(g.edges):
         s = np.sqrt(w)

@@ -126,10 +126,10 @@ class TestExitCodes:
         assert code == 1
 
     def test_factorization_failure_exits_2(self, tri_file, capsys, monkeypatch):
-        def svd(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("SVD did not converge")
+        def qr(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("QR failed")
 
-        monkeypatch.setattr(scipy.linalg, "svd", svd)
+        monkeypatch.setattr(scipy.linalg, "qr", qr)
         code, out, err = run(capsys, "leverage", "--graph", tri_file)
         assert code == 2
         assert out == ""

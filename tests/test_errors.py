@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 import resist_sketch as rs
-from resist_sketch import solve, spectral
+from resist_sketch import spectral
 
 _TRIANGLE = rs.WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
 
@@ -42,6 +42,9 @@ _SITES = {
     "beta": (_run_config, _sampling_plan, _sample_count, _leverage_probabilities),
     "c0": (_run_config, _sampling_plan, _sample_count),
     "seed": (_run_config, _sampling_plan),
+    "trials": (_run_config,),
+    "r_override": (_run_config,),
+    "r": (_sampling_plan,),
 }
 _BAD = {
     "epsilon": [
@@ -63,6 +66,20 @@ _BAD = {
         (1.5, "seed must be an unsigned 64-bit integer, got 1.5"),
         (np.int64(-3), f"seed must be an unsigned 64-bit integer, got {np.int64(-3)!r}"),
     ],
+    "trials": [
+        (0, "trials must be a positive integer, got 0"),
+        (2.0, "trials must be a positive integer, got 2.0"),
+        (np.int64(-1), f"trials must be a positive integer, got {np.int64(-1)!r}"),
+    ],
+    "r_override": [
+        (0, "r override must be a positive integer, got 0"),
+        (2.0, "r override must be a positive integer, got 2.0"),
+    ],
+    "r": [
+        (0, "sample count must be a positive integer below 2**63, got 0"),
+        (2**63, f"sample count must be a positive integer below 2**63, got {2**63}"),
+        (10.0, "sample count must be a positive integer below 2**63, got 10.0"),
+    ],
 }
 
 
@@ -81,42 +98,29 @@ def test_one_rule_per_parameter(site, name, value, message):
     assert str(info.value) == message
 
 
-def _failing_svd(monkeypatch, fail_drivers):
-    """Make scipy's SVD raise LinAlgError for the given LAPACK drivers."""
-    real = scipy.linalg.svd
+def _failing(monkeypatch, name):
+    """Make scipy.linalg.<name> raise LinAlgError."""
 
-    def svd(a, *args, lapack_driver="gesdd", **kwargs):
-        if lapack_driver in fail_drivers:
-            raise scipy.linalg.LinAlgError("SVD did not converge")
-        return real(a, *args, lapack_driver=lapack_driver, **kwargs)
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError(f"{name} failed")
 
-    monkeypatch.setattr(scipy.linalg, "svd", svd)
+    monkeypatch.setattr(scipy.linalg, name, fail)
 
 
 class TestNumericalFailure:
-    def test_gesvd_fallback_gives_same_profile(self, monkeypatch):
-        g = rs.random_connected(12, np.random.default_rng(4), extra_edge_prob=0.3)
-        factors = rs.incidence_factors(g)
-        expected = rs.spectral_profile(factors)
-        _failing_svd(monkeypatch, {"gesdd"})
-        fallback = rs.spectral_profile(factors)
-        assert fallback.rank == expected.rank
-        np.testing.assert_allclose(fallback.leverage, expected.leverage, atol=1e-12)
-        np.testing.assert_allclose(fallback.resistance, expected.resistance, atol=1e-12)
-        np.testing.assert_allclose(
-            fallback.singular_values, expected.singular_values, rtol=1e-12
-        )
-
-    def test_both_drivers_failing_raises_with_condition(self, monkeypatch):
-        _failing_svd(monkeypatch, {"gesdd", "gesvd"})
-        with pytest.raises(rs.FactorizationError) as info:
+    def test_failing_qr_raises(self, monkeypatch):
+        _failing(monkeypatch, "qr")
+        with pytest.raises(rs.FactorizationError, match="QR of the 3x3 grounded") as info:
             spectral.spectral_profile(rs.incidence_factors(rs.path(4)))
-        # the path's Laplacian has eigenvalues 2 - sqrt(2), 2, 2 + sqrt(2)
-        expected = np.sqrt((2.0 + np.sqrt(2.0)) / (2.0 - np.sqrt(2.0)))
-        assert info.value.condition_estimate == pytest.approx(expected, rel=1e-9)
+        assert info.value.condition_estimate == float("inf")
         assert "condition estimate" in str(info.value)
 
-    def test_system_solve_svd_failing_raises(self, monkeypatch):
-        _failing_svd(monkeypatch, {"gesdd"})
-        with pytest.raises(rs.FactorizationError, match="system matrix failed"):
-            solve._pinv_apply(rs.laplacian_of(_TRIANGLE), np.array([1.0, 0.0, -1.0]))
+    def test_failing_cholesky_raises(self, monkeypatch):
+        factors = rs.incidence_factors(_TRIANGLE)
+        plan = rs.SamplingPlan(
+            probabilities=np.full(3, 1.0 / 3.0), beta=1.0, epsilon=0.5, c0=1.0, r=10, seed=0
+        )
+        system = rs.build_sparsifier(factors, plan)
+        _failing(monkeypatch, "cho_factor")
+        with pytest.raises(rs.FactorizationError, match="grounded system matrix failed"):
+            rs.solve_sparsified(system, np.array([1.0, 0.0, -1.0]))

@@ -48,6 +48,15 @@ class TestRunConfig:
         b["results"].pop("timings")
         assert a == b
 
+    @pytest.mark.parametrize("field, mode", [("trials", "verify"), ("r_override", "sparsify")])
+    def test_accepts_numpy_counts(self, graph_file, triangle, field, mode):
+        cfg = cfg_for(graph_file(triangle), mode=mode, **{field: np.int64(5)})
+        reference = cfg_for(graph_file(triangle), mode=mode, **{field: 5})
+        a, b = rs.run_report(cfg), rs.run_report(reference)
+        a["results"].pop("timings")
+        b["results"].pop("timings")
+        assert a == b
+
 
 class TestSeeding:
     def test_default_rhs_zero_sum_and_deterministic(self):

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 
 import resist_sketch as rs
 from conftest import connected_graphs, weighted_graphs
-from oracles import leverage_by_qr, resistances_by_eig
+from oracles import (
+    dense_laplacian,
+    eig_pinv,
+    leverage_by_qr,
+    resistances_by_eig,
+    resistances_exact,
+)
 
 
 def profile_of(g):
@@ -49,15 +55,52 @@ class TestSpectralProfile:
         assert prof.rank == g.n - rs.component_count(g)
         gram = prof.basis.T @ prof.basis
         assert np.max(np.abs(gram - np.eye(prof.rank))) <= 1e-10
-        assert np.all(np.diff(prof.singular_values) <= 1e-12)
-        assert np.all(prof.singular_values > 0)
+        lp = eig_pinv(dense_laplacian(g))
+        h = prof.pinv_factor
+        assert np.linalg.norm(h @ h.T - lp) <= 1e-10 * np.linalg.norm(lp)
 
     @given(weighted_graphs())
     @settings(max_examples=40, deadline=None)
     def test_basis_independent_of_factorization(self, g):
-        # same scores from a pivoted-QR basis as from the SVD basis
+        # same scores from a column-pivoted QR of the whole incidence matrix
         prof = profile_of(g)
         np.testing.assert_allclose(prof.leverage, leverage_by_qr(g), atol=1e-9)
+
+
+def _wide_weight_graph(seed, span):
+    """Connected n=12, m=24 graph, weights log-uniform over 10**[-span, span]."""
+    rng = np.random.default_rng(seed)
+    pairs = [(int(rng.integers(k)), k) for k in range(1, 12)]
+    while len(pairs) < 24:
+        u, v = rng.choice(12, size=2, replace=False)
+        pairs.append((int(u), int(v)))
+    weights = 10.0 ** rng.uniform(-span, span, size=24)
+    return rs.WeightedGraph(12, [(u, v, float(w)) for (u, v), w in zip(pairs, weights)])
+
+
+class TestExactResistances:
+    """Scores against exact rational resistances where weights span many decades."""
+
+    @pytest.mark.parametrize("span, tol", [(8, 1e-12), (12, 1e-8)])
+    def test_wide_weight_spans(self, span, tol):
+        worst = 0.0
+        for seed in range(8):
+            g = _wide_weight_graph(seed, span)
+            exact = resistances_exact(g)
+            got = profile_of(g).resistance
+            worst = max(worst, float(np.max(np.abs(got - exact) / exact)))
+        assert worst <= tol
+
+    def test_faint_bridge(self):
+        # two unit triangles joined by one edge of weight 1e-18, resistance 1e18
+        g = rs.WeightedGraph(
+            6,
+            [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0),
+             (3, 5, 1.0), (2, 3, 1e-18)],
+        )
+        exact = resistances_exact(g)
+        assert exact[-1] == pytest.approx(1e18, rel=1e-15)
+        np.testing.assert_allclose(profile_of(g).resistance, exact, rtol=1e-12)
 
 
 def _empty_factors():
