@@ -88,20 +88,21 @@ def incidence_factors(g: WeightedGraph) -> IncidenceFactors:
     max(u_i, v_i); the orientation is arbitrary mathematically, fixed here so
     outputs are deterministic.
     """
-    m = g.m
     u = np.array([e[0] for e in g.edges], dtype=np.int64)
     v = np.array([e[1] for e in g.edges], dtype=np.int64)
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
-    rows = np.repeat(np.arange(m, dtype=np.int64), 2)
-    cols = np.column_stack([lo, hi]).ravel()
-    data = np.tile(np.array([1.0, -1.0]), m)
-    b = sparse.coo_matrix((data, (rows, cols)), shape=(m, g.n)).tocsr()
     weights = g.weights()
     weights.setflags(write=False)
     lo.setflags(write=False)
     hi.setflags(write=False)
-    return IncidenceFactors(incidence=b, weights=weights, lo=lo, hi=hi)
+    return IncidenceFactors(incidence=_incidence(g.n, lo, hi), weights=weights, lo=lo, hi=hi)
+
+
+def _incidence(n: int, lo: np.ndarray, hi: np.ndarray) -> sparse.csr_matrix:
+    """Signed incidence of the edges (lo_i, hi_i): row i is +1 at lo_i, -1 at hi_i."""
+    data, indptr = np.tile([1.0, -1.0], lo.size), np.arange(0, 2 * lo.size + 1, 2)
+    return sparse.csr_matrix((data, np.column_stack([lo, hi]).ravel(), indptr), (lo.size, n))
 
 
 def _assemble_laplacian(

@@ -70,7 +70,7 @@ class VerifyReport:
 
     success counts/rates score the relative energy error of each trial's
     sparsified solve against epsilon; the concentration fields score how far
-    each trial's sampled basis Gram matrix strayed from the identity, whose
+    each trial's sampled Gram matrix strayed from the identity, whose
     guarantee level is sqrt(epsilon)/2 per trial and sqrt(epsilon)/6 in the
     mean. lemma_max_relerr is the worst relative disagreement between the
     two independent resistance computations on this graph, a per-graph
@@ -144,7 +144,7 @@ def _plan_for(cfg: RunConfig, profile: SpectralProfile, n: int) -> tuple[Samplin
 
 def _oversampling_condition(cfg: RunConfig, rank: int) -> dict[str, Any]:
     # Mean-deviation guarantee precondition at the specialized accuracy
-    # sqrt(epsilon)/6; holds whenever the basis rank reaches 4, so only
+    # sqrt(epsilon)/6; holds whenever the rank reaches 4, so only
     # tiny graphs ever report it unsatisfied.
     target = math.sqrt(cfg.epsilon) / 6.0
     lhs = cfg.c0 * cfg.c0 * rank
@@ -200,7 +200,7 @@ def cmd_sparsify(cfg: RunConfig) -> dict[str, Any]:
     g, factors, profile = _analyze(cfg)
     plan, source = _plan_for(cfg, profile, g.n)
     system = build_sparsifier(factors, plan)
-    deviation = concentration_check(profile.basis, plan)
+    deviation = concentration_check(profile, system)
     return {
         "n": g.n,
         "m": g.m,
@@ -278,7 +278,7 @@ def cmd_verify(cfg: RunConfig) -> VerifyReport:
         plan = dataclasses.replace(plan0, seed=seed_t)
         system = build_sparsifier(factors, plan)
         scored = error_report(exact, solve_sparsified(system, b), factors, cfg.epsilon)
-        deviation = concentration_check(profile.basis, plan)
+        deviation = concentration_check(profile, system)
         deviations[t] = deviation
         success_count += bool(scored.success)
         records.append(

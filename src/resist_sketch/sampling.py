@@ -19,7 +19,8 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import ParameterError, check
-from .graphs import IncidenceFactors, _assemble_laplacian
+from .graphs import IncidenceFactors, _assemble_laplacian, _incidence
+from .spectral import SpectralProfile
 
 _PROB_SUM_TOL = 1e-12
 
@@ -116,16 +117,6 @@ def draw_counts(plan: SamplingPlan) -> np.ndarray:
     return counts
 
 
-def _rescaled_hits(plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Drawn edges and their rescaling c_i / (r p_i), from the plan's counts."""
-    counts = draw_counts(plan)
-    hit = np.flatnonzero(counts)
-    p = plan.probabilities[hit]
-    if np.any(p == 0.0):
-        raise RuntimeError("drew an edge with zero probability")
-    return hit, counts[hit] / (plan.r * p)
-
-
 def build_sparsifier(factors: IncidenceFactors, plan: SamplingPlan) -> SparsifiedSystem:
     """Keep the drawn edges, reweighted, and assemble their Laplacian.
 
@@ -136,30 +127,37 @@ def build_sparsifier(factors: IncidenceFactors, plan: SamplingPlan) -> Sparsifie
         raise ParameterError(
             f"plan covers {plan.m} edges but the graph has {factors.m}"
         )
-    hit, scale = _rescaled_hits(plan)
-    weights = factors.weights[hit] * scale
+    counts = draw_counts(plan)
+    hit = np.flatnonzero(counts)
+    p = plan.probabilities[hit]
+    if np.any(p == 0.0):
+        raise RuntimeError("drew an edge with zero probability")
+    weights = factors.weights[hit] * (counts[hit] / (plan.r * p))
     lap = _assemble_laplacian(factors.n, factors.lo[hit], factors.hi[hit], weights)
     hit.setflags(write=False)
     weights.setflags(write=False)
     return SparsifiedSystem(edges=hit, weights=weights, laplacian=lap)
 
 
-def concentration_check(basis: np.ndarray, plan: SamplingPlan) -> float:
-    """Spectral-norm deviation of the sampled basis Gram matrix from identity.
+def concentration_check(profile: SpectralProfile, system: SparsifiedSystem) -> float:
+    """Spectral-norm deviation of the sparsifier's sampled Gram matrix from identity.
 
-    Draws the same counts as build_sparsifier for the same plan, and returns
-    ||U^T D U - I||_2 where D holds c_i / (r p_i) on the diagonal. This
-    equals the largest |sigma^2 - 1| over the singular values of the sampled,
-    rescaled basis rows, which is the quantity the sparsification guarantee
-    controls.
+    With Phi the scaled incidence and H = profile.pinv_factor, U = Phi H is an
+    orthonormal basis of Phi's range, and with D the rescalings c_i / (r p_i)
+    the sampled Gram matrix U^T D U is H^T L' H, L' = Phi^T D Phi the
+    sparsifier's Laplacian. Returns max |lambda(H^T L' H) - 1|, which the
+    guarantee controls; a sparsifier that splits a component scores at least 1.
+    L' H is summed from one difference H[i] - H[j] per off-diagonal pair of L':
+    its assembled rows, deg_i H[i] - sum_j w_ij H[j], cancel at wide weight spans.
     """
-    if basis.ndim != 2 or basis.shape[0] != plan.m:
-        raise ParameterError(
-            f"basis must be {plan.m} x rank, got shape {getattr(basis, 'shape', None)}"
-        )
-    hit, scale = _rescaled_hits(plan)
-    rows = basis[hit]
-    gram = rows.T @ (rows * scale[:, None])
+    h, n = profile.pinv_factor, system.laplacian.shape[0]
+    if h.shape[0] != n:
+        raise ParameterError(f"profile has {h.shape[0]} vertices but the sparsifier has {n}")
+    pairs = sparse.triu(system.laplacian, k=1, format="coo")
+    diff = _incidence(n, pairs.row, pairs.col)
+    scaled = diff @ h
+    scaled *= -pairs.data[:, None]
+    gram = h.T @ (diff.T @ scaled)
     gram = 0.5 * (gram + gram.T)
     eigs = np.linalg.eigvalsh(gram)
     return float(np.max(np.abs(eigs - 1.0)))

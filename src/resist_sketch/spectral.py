@@ -1,4 +1,4 @@
-"""Leverage scores, effective resistances, and the orthogonal edge-space basis.
+"""Leverage scores, effective resistances, and a factor of the Laplacian pseudoinverse.
 
 The leverage score of edge i is the i-th diagonal entry of the projection
 onto the column space of the weight-scaled incidence matrix, equal to the
@@ -30,16 +30,14 @@ class SpectralProfile:
     leverage        per-edge scores in [0, 1]; they sum to ``rank``
     resistance      per-edge effective resistances, leverage / weight
     rank            n - #components
-    basis           m x rank matrix with orthonormal columns spanning the
-                    range of the scaled incidence matrix
     pinv_factor     n x rank matrix H with H H^T the Laplacian pseudoinverse;
-                    the solver applies the pseudoinverse through it
+                    the scaled incidence times H, never formed, is an
+                    orthonormal basis of its range (see concentration_check)
     """
 
     leverage: np.ndarray
     resistance: np.ndarray
     rank: int
-    basis: np.ndarray
     pinv_factor: np.ndarray
 
 
@@ -50,7 +48,8 @@ def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
     full column rank; its Householder QR, rows sorted by decreasing weight to
     stay accurate across wide weight ranges (Cox & Higham 1998), gives R. With
     F = R^-1 (zero rows at the grounds), edge (u, v) has resistance
-    ||F[u] - F[v]||^2, and the scaled incidence times F is an orthonormal basis.
+    ||F[u] - F[v]||^2. Scores that miss Foster's sum (the rank) by over
+    1e-8 * rank mean the QR lost a bridge too faint to resolve: FactorizationError.
     """
     if factors.m < 1:
         raise ParameterError("graph has no edges")
@@ -67,21 +66,21 @@ def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
         raise FactorizationError(
             f"QR of the {factors.m}x{rank} grounded incidence matrix failed"
         ) from exc
-    del phi  # free the m x rank array before allocating the basis, its same size
+    del phi  # free the m x rank array before allocating the differences, its same size
     # each row of incidence @ f is one difference f[lo] - f[hi], rounded once
-    basis = factors.incidence @ f
-    resistance = np.einsum("ij,ij->i", basis, basis)
+    diffs = factors.incidence @ f
+    resistance = np.einsum("ij,ij->i", diffs, diffs)
     leverage = factors.weights * resistance
-    basis *= np.sqrt(factors.weights)[:, None]
+    total = float(leverage.sum())
+    if not abs(total - rank) <= 1e-8 * rank:  # Foster: leverage sums to the rank
+        raise FactorizationError(
+            f"leverage scores sum to {total!r}, not the rank {rank}: weights span too far"
+        )
     pinv_factor = _centre(f, labels)
-    for arr in (leverage, resistance, basis, pinv_factor):
+    for arr in (leverage, resistance, pinv_factor):
         arr.setflags(write=False)
     return SpectralProfile(
-        leverage=leverage,
-        resistance=resistance,
-        rank=rank,
-        basis=basis,
-        pinv_factor=pinv_factor,
+        leverage=leverage, resistance=resistance, rank=rank, pinv_factor=pinv_factor
     )
 
 
@@ -110,8 +109,8 @@ def leverage_probabilities(
     """Sampling probabilities proportional to leverage, or validated substitutes.
 
     With no candidate, returns leverage normalized by its sum (the exact
-    distribution; the sum is the squared Frobenius norm of the basis, so the
-    result sums to one to machine precision and meets the floor for any beta).
+    distribution; spectral_profile has checked that the sum is the rank, so
+    the result sums to one to machine precision and meets the floor for any beta).
     A candidate distribution is accepted only if it sums to one within 1e-12
     and every entry is at least beta * leverage_i / sum(leverage), the
     approximate-probability floor.

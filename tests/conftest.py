@@ -17,6 +17,15 @@ def single_edge() -> rs.WeightedGraph:
     return rs.WeightedGraph(2, [(0, 1, 1.0)])
 
 
+def bridged_triangles(bridge: float = 1.0) -> rs.WeightedGraph:
+    """Two unit triangles joined by one edge of weight ``bridge``, the last edge."""
+    return rs.WeightedGraph(
+        6,
+        [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0),
+         (3, 5, 1.0), (2, 3, bridge)],
+    )
+
+
 @pytest.fixture
 def graph_file(tmp_path):
     """Write a graph to a temp file and hand back its path."""

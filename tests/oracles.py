@@ -82,8 +82,8 @@ def resistances_exact(g: WeightedGraph) -> np.ndarray:
     )
 
 
-def leverage_by_qr(g: WeightedGraph) -> np.ndarray:
-    """Leverage scores from the Q of a column-pivoted QR of the whole scaled incidence."""
+def orthonormal_basis(g: WeightedGraph) -> np.ndarray:
+    """m x rank orthonormal basis of the scaled incidence's range: Q of a column-pivoted QR."""
     phi = np.zeros((g.m, g.n))
     for i, (u, v, w) in enumerate(g.edges):
         s = np.sqrt(w)
@@ -93,9 +93,14 @@ def leverage_by_qr(g: WeightedGraph) -> np.ndarray:
     q, r, _ = scipy.linalg.qr(phi, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
-        return np.zeros(g.m)
+        return np.zeros((g.m, 0))
     rank = int(np.sum(diag > diag[0] * max(phi.shape) * np.finfo(float).eps))
-    basis = q[:, :rank]
+    return q[:, :rank]
+
+
+def leverage_by_qr(g: WeightedGraph) -> np.ndarray:
+    """Leverage scores: squared row norms of orthonormal_basis(g)."""
+    basis = orthonormal_basis(g)
     return np.einsum("ij,ij->i", basis, basis)
 
 

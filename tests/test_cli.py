@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import conftest
 import resist_sketch as rs
 from resist_sketch.cli import main
 
@@ -20,14 +21,9 @@ def bridged_triangles(tmp_path, bridge):
 
     The pseudoinverse route loses that resistance as the bridge weight shrinks.
     """
-    g = rs.WeightedGraph(
-        6,
-        [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0),
-         (3, 5, 1.0), (2, 3, bridge)],
-    )
     target = tmp_path / "bridge.txt"
     with open(target, "w", encoding="utf-8") as fh:
-        rs.save_graph(g, fh)
+        rs.save_graph(conftest.bridged_triangles(bridge), fh)
     return str(target)
 
 
@@ -150,6 +146,15 @@ class TestExitCodes:
         else:
             assert out == ""
             assert "numerical failure" in err and "leverage route" in err
+
+    def test_lost_bridge_exits_2(self, tmp_path, capsys):
+        # at weight 1e-30 the scores miss Foster's sum; leverage prints nothing
+        code, out, err = run(
+            capsys, "leverage", "--graph", bridged_triangles(tmp_path, 1e-30)
+        )
+        assert code == 2
+        assert out == ""
+        assert "numerical failure" in err and "rank" in err
 
     def test_verify_only_reports_failed_cross_check(self, tmp_path, capsys):
         code, out, _ = run(

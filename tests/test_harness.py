@@ -226,6 +226,22 @@ class TestRunReport:
         rs.run_report(cfg_for(graph_file(triangle), mode=mode, trials=3))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("mode, draws", [("sparsify", 1), ("verify", 7)])
+    def test_one_draw_per_sparsifier(self, graph_file, triangle, monkeypatch, mode, draws):
+        # the concentration check reads the drawn sparsifier; it draws nothing
+        from resist_sketch import sampling
+
+        calls = []
+        original = sampling.draw_counts
+
+        def counted(plan):
+            calls.append(plan.seed)
+            return original(plan)
+
+        monkeypatch.setattr(sampling, "draw_counts", counted)
+        rs.run_report(cfg_for(graph_file(triangle), mode=mode, trials=draws))
+        assert len(calls) == draws
+
     def test_every_mode_reports_timings(self, graph_file, triangle):
         for mode in rs.harness.MODES:
             report = rs.run_report(cfg_for(graph_file(triangle), mode=mode, trials=2))

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import resist_sketch as rs
 from resist_sketch import sampling
-from conftest import connected_graphs
-from oracles import inverse_cdf_draws, materialized_sampler_product
+from conftest import bridged_triangles, connected_graphs
+from oracles import inverse_cdf_draws, materialized_sampler_product, orthonormal_basis
 
 
 def plan_for(g, r=500, seed=0, beta=1.0, epsilon=0.5):
@@ -239,8 +239,6 @@ class TestBuildSparsifier:
         monkeypatch.setattr(sampling, "draw_counts", lambda plan: np.array([3, 1]))
         with pytest.raises(RuntimeError, match="zero probability"):
             rs.build_sparsifier(rs.incidence_factors(g), plan)
-        with pytest.raises(RuntimeError, match="zero probability"):
-            rs.concentration_check(np.eye(2), plan)
 
     def test_memory_independent_of_r(self):
         # 10^12 draws on complete(8): counts are O(m), nothing of size r
@@ -286,40 +284,71 @@ class TestBuildSparsifier:
         assert np.max(np.abs(acc / trials - L)) <= 0.05
 
 
+def sparsified(g, probabilities=None, r=500, seed=0):
+    """Profile, plan and drawn sparsifier of g, at leverage probabilities by default."""
+    factors = rs.incidence_factors(g)
+    prof = rs.spectral_profile(factors)
+    if probabilities is None:
+        probabilities = rs.leverage_probabilities(prof)
+    plan = rs.SamplingPlan(
+        probabilities=probabilities, beta=1.0, epsilon=0.5, c0=1.0, r=r, seed=seed
+    )
+    return prof, plan, rs.build_sparsifier(factors, plan)
+
+
 class TestConcentrationCheck:
     def test_single_edge_zero_deviation(self, single_edge):
-        prof = rs.spectral_profile(rs.incidence_factors(single_edge))
-        plan = plan_for(single_edge, r=50, seed=2)
-        assert rs.concentration_check(prof.basis, plan) == 0.0
+        prof, _, system = sparsified(single_edge, r=50, seed=2)
+        assert rs.concentration_check(prof, system) == 0.0
 
     def test_equals_singular_value_deviation(self, triangle):
-        prof = rs.spectral_profile(rs.incidence_factors(triangle))
-        plan = plan_for(triangle, r=400, seed=99)
-        counts = rs.draw_counts(plan)
-        samples = np.repeat(np.arange(triangle.m), counts)
+        prof, plan, system = sparsified(triangle, r=400, seed=99)
+        samples = np.repeat(np.arange(triangle.m), rs.draw_counts(plan))
         S = np.zeros((triangle.m, plan.r))
-        for t, i in enumerate(samples):
-            S[i, t] = 1.0 / np.sqrt(plan.r * plan.probabilities[i])
-        sv = np.linalg.svd(S.T @ prof.basis, compute_uv=False)
+        S[samples, np.arange(plan.r)] = 1.0 / np.sqrt(plan.r * plan.probabilities[samples])
+        sv = np.linalg.svd(S.T @ orthonormal_basis(triangle), compute_uv=False)
         expected = float(np.max(np.abs(sv**2 - 1.0)))
-        got = rs.concentration_check(prof.basis, plan)
-        assert got == pytest.approx(expected, abs=1e-12)
+        assert rs.concentration_check(prof, system) == pytest.approx(expected, abs=1e-12)
 
-    def test_redrawing_matches_reuse(self, triangle):
-        # the check redraws the sparsifier's counts: its deviation is that of
-        # the edges and rescalings build_sparsifier kept
-        factors = rs.incidence_factors(triangle)
-        prof = rs.spectral_profile(factors)
-        plan = plan_for(triangle, r=600, seed=31)
-        system = rs.build_sparsifier(factors, plan)
-        rows = prof.basis[system.edges]
-        scale = system.weights / factors.weights[system.edges]
+    @pytest.mark.parametrize(
+        "g, r",
+        [
+            (rs.random_connected(12, np.random.default_rng(5), extra_edge_prob=0.4), 150),
+            # the Laplacian's assembled rows cancel across a faint bridge:
+            # summed that way, this deviation is 1.5e-5 off
+            (bridged_triangles(1e-10), 5000),
+        ],
+        ids=["random", "faint-bridge"],
+    )
+    def test_matches_oracle_gram(self, g, r):
+        # the deviation is that of the edges and rescalings the sparsifier
+        # kept, on an independent orthonormal basis of the scaled incidence
+        prof, _, system = sparsified(g, r=r, seed=31)
+        rows = orthonormal_basis(g)[system.edges]
+        scale = system.weights / g.weights()[system.edges]
         eigs = np.linalg.eigvalsh(rows.T @ (rows * scale[:, None]))
         expected = float(np.max(np.abs(eigs - 1.0)))
-        assert rs.concentration_check(prof.basis, plan) == pytest.approx(expected, abs=1e-12)
+        assert rs.concentration_check(prof, system) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "g, probabilities",
+        [
+            # two unit triangles; the draw never takes the bridge between them
+            (bridged_triangles(), np.r_[np.full(6, 1 / 6), 0.0]),
+            # a triangle and a separate edge; the draw never takes that edge
+            (
+                rs.WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0)]),
+                np.r_[np.full(3, 1 / 3), 0.0],
+            ),
+        ],
+        ids=["missed-bridge", "missed-component"],
+    )
+    def test_split_component_deviation_one(self, g, probabilities):
+        prof, _, system = sparsified(g, probabilities, r=6000, seed=3)
+        assert rs.concentration_check(prof, system) == pytest.approx(1.0, abs=1e-12)
 
     def test_shape_mismatch_rejected(self, triangle, single_edge):
         prof = rs.spectral_profile(rs.incidence_factors(single_edge))
-        plan = plan_for(triangle)
-        with pytest.raises(rs.ParameterError, match="basis"):
-            rs.concentration_check(prof.basis, plan)
+        _, _, system = sparsified(triangle)
+        with pytest.raises(rs.ParameterError, match="vertices"):
+            rs.concentration_check(prof, system)

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import resist_sketch as rs
-from conftest import connected_graphs, weighted_graphs
+from conftest import bridged_triangles, connected_graphs, weighted_graphs
 from oracles import (
     dense_laplacian,
     eig_pinv,
@@ -53,10 +55,10 @@ class TestSpectralProfile:
         assert np.all(prof.leverage <= 1.0 + 1e-12)
         assert abs(prof.leverage.sum() - prof.rank) <= 1e-8
         assert prof.rank == g.n - rs.component_count(g)
-        gram = prof.basis.T @ prof.basis
-        assert np.max(np.abs(gram - np.eye(prof.rank))) <= 1e-10
-        lp = eig_pinv(dense_laplacian(g))
         h = prof.pinv_factor
+        lap = dense_laplacian(g)
+        assert np.linalg.norm(h.T @ lap @ h - np.eye(prof.rank)) <= 1e-10
+        lp = eig_pinv(lap)
         assert np.linalg.norm(h @ h.T - lp) <= 1e-10 * np.linalg.norm(lp)
 
     @given(weighted_graphs())
@@ -65,6 +67,16 @@ class TestSpectralProfile:
         # same scores from a column-pivoted QR of the whole incidence matrix
         prof = profile_of(g)
         np.testing.assert_allclose(prof.leverage, leverage_by_qr(g), atol=1e-9)
+
+    def test_no_edge_space_basis(self):
+        # the profile holds nothing m x rank: the sampled Gram matrix comes
+        # from the n x rank pinv_factor
+        g = rs.complete(6)
+        prof = profile_of(g)
+        for field in dataclasses.fields(prof):
+            value = getattr(prof, field.name)
+            if isinstance(value, np.ndarray) and value.ndim == 2:
+                assert value.shape[0] != g.m or value.shape[1] <= 1, field.name
 
 
 def _wide_weight_graph(seed, span):
@@ -92,15 +104,18 @@ class TestExactResistances:
         assert worst <= tol
 
     def test_faint_bridge(self):
-        # two unit triangles joined by one edge of weight 1e-18, resistance 1e18
-        g = rs.WeightedGraph(
-            6,
-            [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0),
-             (3, 5, 1.0), (2, 3, 1e-18)],
-        )
+        # a bridge of weight 1e-18, resistance 1e18, still resolves
+        g = bridged_triangles(1e-18)
         exact = resistances_exact(g)
         assert exact[-1] == pytest.approx(1e18, rel=1e-15)
         np.testing.assert_allclose(profile_of(g).resistance, exact, rtol=1e-12)
+
+    @pytest.mark.parametrize("bridge", [1e-24, 1e-30, 1e-100])
+    def test_lost_bridge_refused(self, bridge):
+        # past a weight ratio of about 1e20 the QR loses the bridge, and the
+        # scores leave Foster's sum: wrong scores must not come back
+        with pytest.raises(rs.FactorizationError, match="rank"):
+            profile_of(bridged_triangles(bridge))
 
 
 def _empty_factors():
