@@ -58,8 +58,7 @@ class IncidenceFactors:
 
     ``incidence`` is m x n with two nonzeros per row: +1 at the smaller
     endpoint (``lo``), -1 at the larger (``hi``). ``weights`` is the length-m
-    vector of edge weights. The weight-scaled incidence matrix, whose Gram
-    matrix is the Laplacian, is produced on demand.
+    vector of edge weights.
     """
 
     incidence: sparse.csr_matrix
@@ -74,11 +73,6 @@ class IncidenceFactors:
     @property
     def n(self) -> int:
         return self.incidence.shape[1]
-
-    def scaled_incidence(self) -> sparse.csr_matrix:
-        """Incidence matrix with row i multiplied by sqrt(weight_i)."""
-        root = sparse.diags(np.sqrt(self.weights))
-        return (root @ self.incidence).tocsr()
 
 
 def incidence_factors(g: WeightedGraph) -> IncidenceFactors:

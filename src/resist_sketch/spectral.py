@@ -7,13 +7,15 @@ edge weight gives the effective resistance, which this module also computes a
 second, independent way (through the dense pseudoinverse of the Laplacian) so
 the two paths can be checked against each other.
 
-This is the exact score oracle: cost O(m n^2), intended for desk-scale
-instances. Approximate scores enter only through the ``beta`` slack of
-``leverage_probabilities``; no approximation algorithm lives here.
+This is the exact score oracle: about n^3/3 flops for the factor and m n for
+the resistances, intended for desk-scale instances. Approximate scores enter
+only through the ``beta`` slack of ``leverage_probabilities``; no
+approximation algorithm lives here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,37 +43,38 @@ class SpectralProfile:
     pinv_factor: np.ndarray
 
 
-def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
-    """Exact leverage scores and resistances from a QR factor of the grounded incidence.
+#: vertices eliminated per panel before one Schur update of the rest
+_PANEL = 32
+#: edges per chunk of the resistance sum, so no m x rank difference array is held
+_EDGE_CHUNK = 1024
 
-    Dropping one ground column per component leaves the scaled incidence with
-    full column rank; its Householder QR, rows sorted by decreasing weight to
-    stay accurate across wide weight ranges (Cox & Higham 1998), gives R. With
-    F = R^-1 (zero rows at the grounds), edge (u, v) has resistance
-    ||F[u] - F[v]||^2. Scores that miss Foster's sum (the rank) by over
-    1e-8 * rank mean the QR lost a bridge too faint to resolve: FactorizationError.
+
+def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
+    """Exact leverage scores and resistances from a positive LDL^T of the grounded Laplacian.
+
+    One vertex per component is grounded. The rest are eliminated in order,
+    carried on the edge weights as Ye (Math. Comp. 2008) does: each pivot is a
+    vertex's total weight to the vertices not yet eliminated and to the grounds,
+    and each step adds nonnegative fill, so nothing is ever subtracted and the
+    factors are accurate entrywise at any weight span. With F = L^-T D^-1/2
+    (zero rows at the grounds), edge (u, v) has resistance ||F[u] - F[v]||^2.
+    A pivot that underflows to zero, or scores that miss Foster's sum (the
+    rank) by over 1e-8 * rank, as when a resistance overflows, mean the
+    weights span past float64: FactorizationError.
     """
     if factors.m < 1:
         raise ParameterError("graph has no edges")
     labels, keep = _components(factors.incidence.T @ factors.incidence)
     rank = int(np.count_nonzero(keep))
-    order = np.argsort(-factors.weights, kind="stable")
-    phi = factors.scaled_incidence()[order][:, keep].toarray(order="F")
-    f = np.zeros((factors.n, rank))
-    try:
-        # mode="raw" returns R as rank x rank, where mode="r" copies all m rows
-        r = scipy.linalg.qr(phi, overwrite_a=True, mode="raw")[1]
-        f[keep] = scipy.linalg.solve_triangular(r, np.eye(rank))
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            f"QR of the {factors.m}x{rank} grounded incidence matrix failed"
-        ) from exc
-    del phi  # free the m x rank array before allocating the differences, its same size
-    # each row of incidence @ f is one difference f[lo] - f[hi], rounded once
-    diffs = factors.incidence @ f
-    resistance = np.einsum("ij,ij->i", diffs, diffs)
-    leverage = factors.weights * resistance
-    total = float(leverage.sum())
+    with np.errstate(all="ignore"):
+        f = _grounded_factor(factors, keep)
+        resistance = np.empty(factors.m)
+        for at in range(0, factors.m, _EDGE_CHUNK):
+            edges = slice(at, at + _EDGE_CHUNK)
+            diffs = f[factors.lo[edges]] - f[factors.hi[edges]]
+            resistance[edges] = np.einsum("ij,ij->i", diffs, diffs)
+        leverage = factors.weights * resistance
+        total = float(leverage.sum())
     if not abs(total - rank) <= 1e-8 * rank:  # Foster: leverage sums to the rank
         raise FactorizationError(
             f"leverage scores sum to {total!r}, not the rank {rank}: weights span too far"
@@ -82,6 +85,74 @@ def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
     return SpectralProfile(
         leverage=leverage, resistance=resistance, rank=rank, pinv_factor=pinv_factor
     )
+
+
+def _grounded_weights(factors: IncidenceFactors, keep: np.ndarray, scale: int) -> np.ndarray:
+    """Dense weights among the non-ground vertices, each times 2**scale, and to the grounds.
+
+    Entry (i, j) of the rank x (rank + 1) result sums the weights of the
+    edges between the i-th and j-th non-ground vertices (zero diagonal); the
+    last column sums each one's weights to the grounds.
+    """
+    rank = int(np.count_nonzero(keep))
+    at = np.where(keep, np.cumsum(keep) - 1, rank)  # every ground maps to column rank
+    u, v, w = at[factors.lo], at[factors.hi], np.ldexp(factors.weights, scale)
+    size = (rank + 1) ** 2
+    both = np.bincount(u * (rank + 1) + v, w, size) + np.bincount(v * (rank + 1) + u, w, size)
+    return both.reshape(rank + 1, rank + 1)[:rank]
+
+
+def _grounded_factor(factors: IncidenceFactors, keep: np.ndarray) -> np.ndarray:
+    """F = L^-T D^-1/2 of the grounded Laplacian L D L^T, zero rows at the grounds.
+
+    The weights are first scaled by an even power of two that centres their
+    span on 1; that is exact, and no weighted degree can overflow. Vertices are
+    eliminated in panels of _PANEL. Within a panel, each vertex's weight to
+    everything outside it (the grounds included) is one running sum. After
+    it, L_KK holds the panel's factor, Z = L_KK^-1 a[K, R+g] >= 0 for the
+    rest R and the grounds g, and a[R, R+g] gains Z_R^T D_K^-1 Z, one GEMM,
+    while L_RK = -Z_R^T D_K^-1. Every off-diagonal entry of L is <= 0, so each
+    triangular solve and product sums terms of one sign. L is stored in place,
+    below the diagonal of a; only a's upper triangle holds current weights.
+    """
+    w = factors.weights
+    half = round((math.log2(w.max()) + math.log2(w.min())) / 4)
+    a = _grounded_weights(factors, keep, -2 * half)
+    rank = a.shape[0]
+    pivots = np.empty(rank)
+    for k0 in range(0, rank, _PANEL):
+        k1 = min(k0 + _PANEL, rank)
+        panel = a[k0:k1, k0:k1]
+        outside = a[k0:k1, k1:].sum(axis=1)
+        for k in range(k1 - k0):
+            row = panel[k, k + 1 :]
+            pivot = pivots[k0 + k] = outside[k] + row.sum()
+            ratio = row / pivot
+            panel[k + 1 :, k + 1 :] += np.outer(row, ratio)
+            outside[k + 1 :] += row * (outside[k] / pivot)
+            panel[k + 1 :, k] = -ratio
+        z = scipy.linalg.solve_triangular(
+            panel, a[k0:k1, k1:], lower=True, unit_diagonal=True, check_finite=False
+        )
+        a[k1:, k0:k1] = -(z[:, : rank - k1] / pivots[k0:k1, None]).T
+        a[k1:, k1:] -= a[k1:, k0:k1] @ z
+    bad = np.flatnonzero(~(np.isfinite(pivots) & (pivots > 0.0)))
+    if bad.size:
+        raise FactorizationError(
+            f"pivot {int(bad[0])} of the rank-{rank} grounded Laplacian is "
+            f"{float(pivots[bad[0]])!r}: weights span too far"
+        )
+    # L^T, upper and unit, is a's lower triangle read in Fortran order
+    inverse, info = scipy.linalg.lapack.dtrtri(a[:, :rank].T, lower=0, unitdiag=1)
+    del a
+    if info:
+        raise FactorizationError(f"inverting the rank-{rank} triangular factor failed")
+    inverse = np.triu(inverse, 1)  # a's weights sat below the diagonal of L^-T
+    np.fill_diagonal(inverse, 1.0)
+    inverse *= np.ldexp(1.0 / np.sqrt(pivots), -half)
+    f = np.zeros((factors.n, rank))
+    f[keep] = inverse
+    return f
 
 
 def effective_resistances(g: WeightedGraph) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Everything here deliberately takes a different route than the package:
 eigendecomposition instead of triangular factors, column-pivoted QR of the
-whole incidence matrix instead of row-sorted QR of the grounded one, exact
+whole incidence matrix instead of elimination of the grounded Laplacian, exact
 rational elimination instead of floating point, pure-Python accumulation
 instead of sparse assembly, an inverse-CDF draw sequence instead of
 multinomial counts. Slow and dense is fine; these only run on small graphs.

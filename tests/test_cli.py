@@ -122,10 +122,10 @@ class TestExitCodes:
         assert code == 1
 
     def test_factorization_failure_exits_2(self, tri_file, capsys, monkeypatch):
-        def qr(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("QR failed")
+        def dtrtri(c, *args, **kwargs):
+            return c, 1  # LAPACK's info for a singular triangle
 
-        monkeypatch.setattr(scipy.linalg, "qr", qr)
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", dtrtri)
         code, out, err = run(capsys, "leverage", "--graph", tri_file)
         assert code == 2
         assert out == ""
@@ -148,9 +148,10 @@ class TestExitCodes:
             assert "numerical failure" in err and "leverage route" in err
 
     def test_lost_bridge_exits_2(self, tmp_path, capsys):
-        # at weight 1e-30 the scores miss Foster's sum; leverage prints nothing
+        # at weight 1e-310 the bridge's resistance overflows float64; leverage
+        # prints nothing
         code, out, err = run(
-            capsys, "leverage", "--graph", bridged_triangles(tmp_path, 1e-30)
+            capsys, "leverage", "--graph", bridged_triangles(tmp_path, 1e-310)
         )
         assert code == 2
         assert out == ""

@@ -109,8 +109,10 @@ def _failing(monkeypatch, name):
 
 class TestNumericalFailure:
     def test_failing_qr_raises(self, monkeypatch):
-        _failing(monkeypatch, "qr")
-        with pytest.raises(rs.FactorizationError, match="QR of the 3x3 grounded") as info:
+        # a forced zero pivot: the elimination sees no weights at all
+        weights = spectral._grounded_weights
+        monkeypatch.setattr(spectral, "_grounded_weights", lambda *args: 0.0 * weights(*args))
+        with pytest.raises(rs.FactorizationError, match="pivot 0 of the rank-3 grounded") as info:
             spectral.spectral_profile(rs.incidence_factors(rs.path(4)))
         assert info.value.condition_estimate == float("inf")
         assert "condition estimate" in str(info.value)

@@ -63,10 +63,6 @@ class TestIncidence:
             np.asarray(f.incidence.sum(axis=1)).ravel(), 0.0, atol=0.0
         )
 
-    def test_scaled_incidence(self):
-        f = rs.incidence_factors(rs.WeightedGraph(2, [(0, 1, 4.0)]))
-        np.testing.assert_allclose(f.scaled_incidence().toarray(), [[2.0, -2.0]])
-
 
 class TestLaplacian:
     def test_single_unit_edge(self, single_edge):

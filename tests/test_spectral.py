@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import resist_sketch as rs
+from resist_sketch import spectral
 from conftest import bridged_triangles, connected_graphs, weighted_graphs
 from oracles import (
     dense_laplacian,
@@ -90,18 +91,43 @@ def _wide_weight_graph(seed, span):
     return rs.WeightedGraph(12, [(u, v, float(w)) for (u, v), w in zip(pairs, weights)])
 
 
+_SPANS = [(8, 1e-13), (12, 1e-13), (16, 1e-12)]
+
+
+def _worst_span_error(span):
+    worst = 0.0
+    for seed in range(8):
+        g = _wide_weight_graph(seed, span)
+        exact = resistances_exact(g)
+        got = profile_of(g).resistance
+        worst = max(worst, float(np.max(np.abs(got - exact) / exact)))
+    return worst
+
+
 class TestExactResistances:
     """Scores against exact rational resistances where weights span many decades."""
 
-    @pytest.mark.parametrize("span, tol", [(8, 1e-12), (12, 1e-8)])
+    @pytest.mark.parametrize("span, tol", _SPANS)
     def test_wide_weight_spans(self, span, tol):
-        worst = 0.0
-        for seed in range(8):
-            g = _wide_weight_graph(seed, span)
-            exact = resistances_exact(g)
-            got = profile_of(g).resistance
-            worst = max(worst, float(np.max(np.abs(got - exact) / exact)))
-        assert worst <= tol
+        assert _worst_span_error(span) <= tol
+
+    @pytest.mark.parametrize("span, tol", _SPANS)
+    def test_wide_weight_spans_across_panels(self, monkeypatch, span, tol):
+        # 12 vertices in panels of 3: the Schur update between panels runs too
+        monkeypatch.setattr(spectral, "_PANEL", 3)
+        assert _worst_span_error(span) <= tol
+
+    def test_components_across_panels(self, monkeypatch):
+        # three components (one an isolated vertex) spread over panels of 3
+        monkeypatch.setattr(spectral, "_PANEL", 3)
+        rng = np.random.default_rng(5)
+        a, b = rs.random_connected(9, rng), rs.random_connected(7, rng)
+        g = rs.WeightedGraph(
+            17, list(a.edges) + [(u + 10, v + 10, w) for u, v, w in b.edges]
+        )
+        prof = profile_of(g)
+        assert prof.rank == 14
+        np.testing.assert_allclose(prof.resistance, resistances_by_eig(g), rtol=1e-10)
 
     def test_faint_bridge(self):
         # a bridge of weight 1e-18, resistance 1e18, still resolves
@@ -110,12 +136,25 @@ class TestExactResistances:
         assert exact[-1] == pytest.approx(1e18, rel=1e-15)
         np.testing.assert_allclose(profile_of(g).resistance, exact, rtol=1e-12)
 
-    @pytest.mark.parametrize("bridge", [1e-24, 1e-30, 1e-100])
+    @pytest.mark.parametrize("bridge", [1e-21, 1e-22, 1e-23, 1e-24, 1e-30, 1e-100])
+    def test_far_bridge_resolves(self, bridge):
+        g = bridged_triangles(bridge)
+        np.testing.assert_allclose(profile_of(g).resistance, resistances_exact(g), rtol=1e-12)
+
+    @pytest.mark.parametrize("bridge", [1e-310, 5e-324])
     def test_lost_bridge_refused(self, bridge):
-        # past a weight ratio of about 1e20 the QR loses the bridge, and the
-        # scores leave Foster's sum: wrong scores must not come back
+        # the bridge's resistance overflows float64, or its pivot underflows
+        # to zero: no scores come back
         with pytest.raises(rs.FactorizationError, match="rank"):
             profile_of(bridged_triangles(bridge))
+
+    @pytest.mark.parametrize("weight", [1e-300, 1.7e308])
+    def test_extreme_uniform_weights(self, weight):
+        # weighted degrees of 3 * 1.7e308 would overflow without the scaling
+        g = rs.WeightedGraph(4, [(u, v, weight) for u, v, _ in rs.complete(4).edges])
+        prof = profile_of(g)
+        np.testing.assert_allclose(prof.resistance * weight, 0.5, rtol=1e-14)
+        np.testing.assert_allclose(prof.leverage, 0.5, rtol=1e-14)
 
 
 def _empty_factors():
