@@ -74,7 +74,8 @@ class VerifyReport:
     guarantee level is sqrt(epsilon)/2 per trial and sqrt(epsilon)/6 in the
     mean. lemma_max_relerr is the worst relative disagreement between the
     two independent resistance computations on this graph, a per-graph
-    cross-check that does not vary with the trials.
+    cross-check that does not vary with the trials; it is inf (null in the
+    JSON report) when the grounded Laplacian cannot be factored.
     """
 
     trials: int
@@ -122,12 +123,20 @@ def _load_rhs(cfg: RunConfig, n: int) -> np.ndarray:
     return b
 
 
-def _lemma_max_relerr(
-    g: WeightedGraph, profile: SpectralProfile, dense_route: np.ndarray
-) -> float:
-    """Worst relative gap between leverage/weight and the pseudoinverse-path resistance."""
-    gap = np.abs(profile.leverage - g.weights() * dense_route)
-    return float(np.max(gap / np.maximum(profile.leverage, 1e-300)))
+def _cross_check(
+    factors: IncidenceFactors, profile: SpectralProfile
+) -> tuple[np.ndarray | None, float]:
+    """Grounded-inverse resistances and their worst relative gap to leverage/weight.
+
+    When the grounded Laplacian cannot be factored there are no resistances
+    and the gap is infinite.
+    """
+    try:
+        resistance = effective_resistances(factors)
+    except FactorizationError:
+        return None, math.inf
+    gap = np.abs(profile.leverage - factors.weights * resistance)
+    return resistance, float(np.max(gap / np.maximum(profile.leverage, 1e-300)))
 
 
 def _plan_for(cfg: RunConfig, profile: SpectralProfile, n: int) -> tuple[SamplingPlan, str]:
@@ -177,11 +186,12 @@ def cmd_leverage(cfg: RunConfig) -> dict[str, Any]:
 def cmd_resistance(cfg: RunConfig) -> dict[str, Any]:
     """Effective resistances via the dense pseudoinverse, with cross-check.
 
-    A cross-check gap above 1e-8 raises FactorizationError, not wrong values.
+    The resistances come from the Cholesky inverse of the grounded Laplacian,
+    which gives the same values as L^+. A cross-check gap above 1e-8, or a
+    factor that fails (gap inf), raises FactorizationError, not wrong values.
     """
     g, factors, profile = _analyze(cfg)
-    dense_route = effective_resistances(g)
-    gap = _lemma_max_relerr(g, profile, dense_route)
+    resistance, gap = _cross_check(factors, profile)
     if not gap <= _CROSS_CHECK_TOL:
         raise FactorizationError(
             f"pseudoinverse resistances disagree with the leverage route by {gap:.3e}"
@@ -190,7 +200,7 @@ def cmd_resistance(cfg: RunConfig) -> dict[str, Any]:
         "n": g.n,
         "m": g.m,
         "rank": profile.rank,
-        "resistance": dense_route.tolist(),
+        "resistance": resistance.tolist(),
         "lemma_max_relerr": gap,
     }
 
@@ -322,7 +332,7 @@ def cmd_verify(cfg: RunConfig) -> VerifyReport:
         mean_deviation_target=math.sqrt(cfg.epsilon) / 6.0,
         oversampling_condition=_oversampling_condition(cfg, profile.rank),
         max_sv_deviation_quantiles=quantiles,
-        lemma_max_relerr=_lemma_max_relerr(g, profile, effective_resistances(g)),
+        lemma_max_relerr=_cross_check(factors, profile)[1],
         records=tuple(records),
     )
 

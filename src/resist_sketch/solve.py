@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sparse
 
-from .errors import FactorizationError, ParameterError, check
-from .graphs import IncidenceFactors, _centre, _components
-from .spectral import SpectralProfile
+from .errors import ParameterError, check
+from .graphs import IncidenceFactors, _centre
+from .spectral import SpectralProfile, _grounded_cholesky
 
-#: below this, the reference energy counts as zero and the ratio is undefined
+#: below this times max(1, ||x|| ||L x||), the reference energy x^T L x counts
+#: as zero and the ratio is undefined
 _NULL_ENERGY_FLOOR = 1e-18
 #: absolute energy-error bar that stands in for the ratio test in that case
 _NULL_ENERGY_SUCCESS = 1e-12
@@ -67,17 +67,10 @@ def _pinv_apply(matrix, b: np.ndarray) -> tuple[np.ndarray, int]:
     Centres b on each component of the matrix's own graph, solves by Cholesky
     with one vertex per component grounded, and centres x on each component.
     """
-    matrix = sparse.csr_matrix(matrix)
-    labels, keep = _components(matrix)
+    labels, keep, factor = _grounded_cholesky(matrix)
     b = _centre(b, labels)
-    grounded = matrix[keep][:, keep].toarray()
-    try:
-        factor = scipy.linalg.cho_factor(grounded)
-    except scipy.linalg.LinAlgError as exc:
-        k = grounded.shape[0]
-        raise FactorizationError(f"Cholesky of the {k}x{k} grounded system matrix failed") from exc
     x = np.zeros(labels.size)
-    x[keep] = scipy.linalg.cho_solve(factor, b[keep])
+    x[keep] = scipy.linalg.cho_solve((factor, False), b[keep])
     return _centre(x, labels), int(np.count_nonzero(keep))
 
 
@@ -130,6 +123,13 @@ def energy_norm(operator, x: np.ndarray) -> float:
     return float(np.dot(x, operator @ x))
 
 
+def _laplacian_times(operator, x: np.ndarray) -> np.ndarray:
+    """L x, from IncidenceFactors as B^T (w * B x) or from a matrix directly."""
+    if isinstance(operator, IncidenceFactors):
+        return operator.incidence.T @ (operator.weights * (operator.incidence @ x))
+    return operator @ x
+
+
 def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float) -> SolveReport:
     """Score a sparsified solve against the exact one in the energy norm.
 
@@ -144,7 +144,10 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
         )
     energy_error = energy_norm(L, exact.x - sparsified.x)
     reference = energy_norm(L, exact.x)
-    floor = _NULL_ENERGY_FLOOR * max(1.0, float(np.dot(exact.x, exact.x)))
+    # x^T L x <= ||x|| ||L x|| (Cauchy-Schwarz): a floor that grows with x as
+    # the energy does, where ||x||^2 would outgrow it across a faint bridge
+    bound = np.linalg.norm(exact.x) * np.linalg.norm(_laplacian_times(L, exact.x))
+    floor = _NULL_ENERGY_FLOOR * max(1.0, float(bound))
     if reference <= floor:
         relative, success = None, energy_error <= _NULL_ENERGY_SUCCESS
     else:

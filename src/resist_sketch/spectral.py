@@ -4,8 +4,9 @@ The leverage score of edge i is the i-th diagonal entry of the projection
 onto the column space of the weight-scaled incidence matrix, equal to the
 squared i-th row norm of any orthonormal basis of that space. Dividing by the
 edge weight gives the effective resistance, which this module also computes a
-second, independent way (through the dense pseudoinverse of the Laplacian) so
-the two paths can be checked against each other.
+second, independent way (through the Cholesky inverse of the grounded
+Laplacian, its assembled diagonal included) so the two paths can be checked
+against each other.
 
 This is the exact score oracle: about n^3/3 flops for the factor and m n for
 the resistances, intended for desk-scale instances. Approximate scores enter
@@ -20,9 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sparse
 
 from .errors import FactorizationError, ParameterError, check
-from .graphs import IncidenceFactors, WeightedGraph, _centre, _components, laplacian_of
+from .graphs import (
+    IncidenceFactors,
+    WeightedGraph,
+    _assemble_laplacian,
+    _centre,
+    _components,
+    incidence_factors,
+)
 
 
 @dataclass(frozen=True)
@@ -155,17 +164,51 @@ def _grounded_factor(factors: IncidenceFactors, keep: np.ndarray) -> np.ndarray:
     return f
 
 
-def effective_resistances(g: WeightedGraph) -> np.ndarray:
-    """Per-edge effective resistances through the dense Laplacian pseudoinverse.
+def _grounded_cholesky(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper Cholesky factor of a Laplacian with one vertex per component grounded.
 
-    Brute-force path, independent of ``spectral_profile``: the resistance of
-    edge (u, v) is the (u, v) diagonal entry of the incidence-conjugated
-    pseudoinverse, i.e. Lp[u,u] + Lp[v,v] - Lp[u,v] - Lp[v,u].
+    Returns the labels and non-ground mask of ``_components(matrix)`` and U,
+    Fortran-ordered with a zero strict lower triangle, where U^T U is the
+    matrix restricted to the non-ground vertices. A failed or non-finite
+    factor raises FactorizationError.
     """
-    lp = np.linalg.pinv(laplacian_of(g).toarray(), hermitian=True)
-    u = np.array([e[0] for e in g.edges], dtype=np.int64)
-    v = np.array([e[1] for e in g.edges], dtype=np.int64)
-    return lp[u, u] + lp[v, v] - lp[u, v] - lp[v, u]
+    matrix = sparse.csr_matrix(matrix)
+    labels, keep = _components(matrix)
+    grounded = matrix[keep][:, keep].toarray(order="F")
+    factor, info = scipy.linalg.lapack.dpotrf(grounded, overwrite_a=1)
+    if info or not np.all(np.isfinite(factor.diagonal())):
+        k = factor.shape[0]
+        raise FactorizationError(f"Cholesky of the {k}x{k} grounded system matrix failed")
+    return labels, keep, factor
+
+
+def effective_resistances(g: WeightedGraph | IncidenceFactors) -> np.ndarray:
+    """Per-edge effective resistances through the inverse of the grounded Laplacian.
+
+    Independent of ``spectral_profile``: LAPACK factors the grounded
+    Laplacian, assembled diagonal included, and inverts it in place (dpotrf,
+    dpotri). With X that inverse, zero at the grounds, edge (u, v) has
+    resistance X[u,u] + X[v,v] - 2 X[u,v], the same as through L^+. The
+    subtraction loses accuracy as the weights spread, so this route is a
+    cross-check, not the oracle. Takes a graph or its incidence factors.
+    """
+    factors = g if isinstance(g, IncidenceFactors) else incidence_factors(g)
+    if factors.m == 0:
+        return np.zeros(0)
+    lo, hi = factors.lo, factors.hi
+    _, keep, factor = _grounded_cholesky(
+        _assemble_laplacian(factors.n, lo, hi, factors.weights)
+    )
+    inverse, info = scipy.linalg.lapack.dpotri(factor, overwrite_c=1)
+    if info:
+        k = inverse.shape[0]
+        raise FactorizationError(f"inverting the {k}x{k} grounded Laplacian failed")
+    # hi > lo is never a ground (each component's first vertex is), so X[lo, hi]
+    # sits in the upper triangle dpotri returns; when lo is a ground, X[lo] is zero
+    at = np.cumsum(keep) - 1
+    a, b = at[lo], at[hi]
+    diag = inverse.diagonal()
+    return np.where(keep[lo], diag[a] - 2.0 * inverse[a, b], 0.0) + diag[b]
 
 
 #: slack for validating supplied probabilities against the leverage floor

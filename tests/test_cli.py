@@ -165,6 +165,18 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["results"]["lemma_max_relerr"] > 1e-8
 
+    def test_verify_reports_unfactorable_cross_check_as_null(self, tmp_path, capsys):
+        # at 1e-18 the grounded inverse cannot be factored: the gap is inf,
+        # null in JSON. One draw per trial keeps each sparsified system a
+        # single edge, which its own grounded Cholesky factors at any weight;
+        # at the rule's r that Cholesky fails on this bridge too (exit 2).
+        code, out, _ = run(
+            capsys, "verify", "--graph", bridged_triangles(tmp_path, 1e-18),
+            "--trials", "2", "--r-override", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["lemma_max_relerr"] is None
+
 
 def test_cli_determinism(tri_file, tmp_path, capsys):
     a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"

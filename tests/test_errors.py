@@ -99,12 +99,8 @@ def test_one_rule_per_parameter(site, name, value, message):
 
 
 def _failing(monkeypatch, name):
-    """Make scipy.linalg.<name> raise LinAlgError."""
-
-    def fail(*args, **kwargs):
-        raise scipy.linalg.LinAlgError(f"{name} failed")
-
-    monkeypatch.setattr(scipy.linalg, name, fail)
+    """Make scipy.linalg.lapack.<name> return its input with info 1, a failed factor."""
+    monkeypatch.setattr(scipy.linalg.lapack, name, lambda a, **kwargs: (a, 1))
 
 
 class TestNumericalFailure:
@@ -123,6 +119,12 @@ class TestNumericalFailure:
             probabilities=np.full(3, 1.0 / 3.0), beta=1.0, epsilon=0.5, c0=1.0, r=10, seed=0
         )
         system = rs.build_sparsifier(factors, plan)
-        _failing(monkeypatch, "cho_factor")
+        _failing(monkeypatch, "dpotrf")
         with pytest.raises(rs.FactorizationError, match="grounded system matrix failed"):
             rs.solve_sparsified(system, np.array([1.0, 0.0, -1.0]))
+
+    @pytest.mark.parametrize("name", ["dpotrf", "dpotri"])
+    def test_failing_inverse_raises(self, monkeypatch, name):
+        _failing(monkeypatch, name)
+        with pytest.raises(rs.FactorizationError, match="3x3 grounded"):
+            rs.effective_resistances(rs.path(4))

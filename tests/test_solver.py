@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import resist_sketch as rs
-from conftest import connected_graphs, weighted_graphs
+from conftest import bridged_triangles, connected_graphs, weighted_graphs
 from oracles import eig_pinv
 
 
@@ -178,6 +178,19 @@ class TestErrorReport:
         _, scored = self._scored(triangle, np.ones(3), r=500, seed=3)
         assert scored.relative_energy_error is None
         assert scored.success is True
+
+    def test_faint_bridge_keeps_the_ratio(self):
+        # a 1e-18 bridge: ||x||^2 = 1.25e36 outgrows the reference energy 8.3e17,
+        # which must still count as nonzero, so the ratio stays defined
+        g = bridged_triangles(1e-18)
+        b = rs.default_rhs(g.n, 4)
+        exact, scored = self._scored(g, b, r=5, seed=4)
+        assert exact.x @ exact.x > 1e36
+        factors = rs.incidence_factors(g)
+        same = rs.error_report(exact, exact, factors, 0.5)
+        assert same.relative_energy_error == 0.0 and same.success is True
+        reference = rs.energy_norm(factors, exact.x)
+        assert scored.relative_energy_error == scored.energy_error / reference
 
     def test_reasonable_sparsifier_succeeds(self, triangle):
         b = np.array([1.0, 0.0, -1.0])

@@ -91,15 +91,22 @@ def _wide_weight_graph(seed, span):
     return rs.WeightedGraph(12, [(u, v, float(w)) for (u, v), w in zip(pairs, weights)])
 
 
+def _three_components():
+    """n=17: connected graphs on vertices 0-8 and 10-16, and vertex 9 isolated."""
+    rng = np.random.default_rng(5)
+    a, b = rs.random_connected(9, rng), rs.random_connected(7, rng)
+    return rs.WeightedGraph(17, list(a.edges) + [(u + 10, v + 10, w) for u, v, w in b.edges])
+
+
 _SPANS = [(8, 1e-13), (12, 1e-13), (16, 1e-12)]
 
 
-def _worst_span_error(span):
+def _worst_span_error(span, route=lambda g: profile_of(g).resistance):
     worst = 0.0
     for seed in range(8):
         g = _wide_weight_graph(seed, span)
         exact = resistances_exact(g)
-        got = profile_of(g).resistance
+        got = route(g)
         worst = max(worst, float(np.max(np.abs(got - exact) / exact)))
     return worst
 
@@ -120,11 +127,7 @@ class TestExactResistances:
     def test_components_across_panels(self, monkeypatch):
         # three components (one an isolated vertex) spread over panels of 3
         monkeypatch.setattr(spectral, "_PANEL", 3)
-        rng = np.random.default_rng(5)
-        a, b = rs.random_connected(9, rng), rs.random_connected(7, rng)
-        g = rs.WeightedGraph(
-            17, list(a.edges) + [(u + 10, v + 10, w) for u, v, w in b.edges]
-        )
+        g = _three_components()
         prof = profile_of(g)
         assert prof.rank == 14
         np.testing.assert_allclose(prof.resistance, resistances_by_eig(g), rtol=1e-10)
@@ -175,6 +178,31 @@ class TestEffectiveResistances:
         np.testing.assert_allclose(
             rs.effective_resistances(triangle), 2.0 / 3.0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("span, tol", [(4, 1e-11), (8, 1e-7), (12, 1e-3)])
+    def test_wide_weight_spans(self, span, tol):
+        # the grounded inverse subtracts on an assembled diagonal, so it loses
+        # digits as the span grows
+        assert _worst_span_error(span, rs.effective_resistances) <= tol
+
+    def test_isolated_vertex_and_components(self):
+        # each component grounded at its first vertex, the isolated one included
+        g = _three_components()
+        np.testing.assert_allclose(rs.effective_resistances(g), resistances_by_eig(g), rtol=1e-10)
+
+    def test_graph_or_its_factors(self):
+        g = rs.random_connected(12, np.random.default_rng(3))
+        np.testing.assert_array_equal(
+            rs.effective_resistances(g), rs.effective_resistances(rs.incidence_factors(g))
+        )
+
+    def test_no_edges(self):
+        assert rs.effective_resistances(rs.WeightedGraph(3, [])).shape == (0,)
+
+    def test_unfactorable_bridge_refused(self):
+        # at 1e-18 the bridge vanishes from the assembled diagonal 2 + 1e-18
+        with pytest.raises(rs.FactorizationError, match="5x5 grounded"):
+            rs.effective_resistances(bridged_triangles(1e-18))
 
     def test_matches_eig_oracle(self):
         rng = np.random.default_rng(8)
