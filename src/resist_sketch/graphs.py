@@ -8,7 +8,8 @@ degrees, and as the product of the signed incidence matrix with itself.
 
 from __future__ import annotations
 
-import math
+import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,38 +19,98 @@ from scipy.sparse import csgraph
 Edge = tuple[int, int, float]
 
 
-@dataclass(frozen=True)
 class WeightedGraph:
     """Undirected graph with ``n`` vertices and positively weighted edges.
 
     Edges are stored in construction order, exactly as given (endpoint order
-    included); parallel edges are permitted and kept distinct. Instances are
-    immutable and safe to share.
+    included); parallel edges are permitted and kept distinct. The storage is
+    three read-only arrays, the endpoints (int64, int64) and the weights
+    (float64), validated once; ``edges``, the same edges as a tuple of Python
+    ``(int, int, float)`` triples, is built from them on first access.
+    Instances are immutable and safe to share; two graphs are equal when their
+    vertex counts and edge lists are.
     """
 
-    n: int
-    edges: tuple[Edge, ...]
+    def __init__(self, n: int, edges) -> None:
+        _check_vertex_count(n)
+        triples = [(int(u), int(v), float(w)) for u, v, w in edges]
+        u, v, w = list(zip(*triples)) or ((), (), ())
+        try:
+            ends = np.array((u, v), dtype=np.int64)
+        except OverflowError:  # an endpoint past int64 fails the range check
+            ends = np.array((u, v), dtype=object)
+        self._init(n, *ends, np.array(w, dtype=float))
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"vertex count must be >= 2, got {self.n}")
-        object.__setattr__(
-            self, "edges", tuple((int(u), int(v), float(w)) for u, v, w in self.edges)
-        )
-        for i, (u, v, w) in enumerate(self.edges):
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {i}: endpoint out of range for n={self.n}: ({u}, {v})")
-            if u == v:
-                raise ValueError(f"edge {i}: self-loop at vertex {u}")
-            if not (math.isfinite(w) and w > 0.0):
-                raise ValueError(f"edge {i}: weight must be finite and positive, got {w}")
+    @classmethod
+    def _from_arrays(cls, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> WeightedGraph:
+        """Graph on arrays of endpoints and weights, validated as the constructor does."""
+        _check_vertex_count(n)
+        g = cls.__new__(cls)
+        g._init(n, u, v, w)
+        return g
+
+    def _init(self, n, u, v, w) -> None:
+        # each edge's checks in order: endpoints, self-loop, weight; the first
+        # edge failing any of them is reported, with its first failed check
+        out_of_range = ~((0 <= u) & (u < n) & (0 <= v) & (v < n))
+        loop = u == v
+        bad_weight = ~(np.isfinite(w) & (w > 0.0))
+        bad = np.flatnonzero(out_of_range | loop | bad_weight)
+        if bad.size:
+            i = int(bad[0])
+            if out_of_range[i]:
+                raise ValueError(
+                    f"edge {i}: endpoint out of range for n={n}: ({int(u[i])}, {int(v[i])})"
+                )
+            if loop[i]:
+                raise ValueError(f"edge {i}: self-loop at vertex {int(u[i])}")
+            raise ValueError(f"edge {i}: weight must be finite and positive, got {float(w[i])}")
+        arrays = [np.array(a, dtype=t) for a, t in ((u, np.int64), (v, np.int64), (w, float))]
+        for a in arrays:
+            a.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_arrays", tuple(arrays))
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(zip(*(a.tolist() for a in self._arrays)))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self._arrays[2].size
 
     def weights(self) -> np.ndarray:
-        return np.array([w for _, _, w in self.edges], dtype=float)
+        """The edge weights, in edge order (read-only)."""
+        return self._arrays[2]
+
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge's smaller and larger endpoint."""
+        u, v, _ = self._arrays
+        return np.minimum(u, v), np.maximum(u, v)
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightedGraph):
+            return NotImplemented
+        return self.n == other.n and all(
+            np.array_equal(a, b) for a, b in zip(self._arrays, other._arrays)
+        )
+
+    def __hash__(self):
+        return hash((self.n,) + tuple(a.tobytes() for a in self._arrays))
+
+    def __repr__(self):
+        return f"WeightedGraph(n={self.n!r}, edges={self.edges!r})"
+
+
+def _check_vertex_count(n) -> None:
+    if n < 2:
+        raise ValueError(f"vertex count must be >= 2, got {n}")
 
 
 @dataclass(frozen=True)
@@ -82,15 +143,10 @@ def incidence_factors(g: WeightedGraph) -> IncidenceFactors:
     max(u_i, v_i); the orientation is arbitrary mathematically, fixed here so
     outputs are deterministic.
     """
-    u = np.array([e[0] for e in g.edges], dtype=np.int64)
-    v = np.array([e[1] for e in g.edges], dtype=np.int64)
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    weights = g.weights()
-    weights.setflags(write=False)
+    lo, hi = g._ends()
     lo.setflags(write=False)
     hi.setflags(write=False)
-    return IncidenceFactors(incidence=_incidence(g.n, lo, hi), weights=weights, lo=lo, hi=hi)
+    return IncidenceFactors(incidence=_incidence(g.n, lo, hi), weights=g.weights(), lo=lo, hi=hi)
 
 
 def _incidence(n: int, lo: np.ndarray, hi: np.ndarray) -> sparse.csr_matrix:
@@ -120,8 +176,7 @@ def laplacian_of(g: WeightedGraph) -> sparse.csr_matrix:
     (parallel edges sum); diagonal entries are the weighted degrees. Row sums
     are zero, so the all-ones vector is in the null space.
     """
-    ends = np.array([e[:2] for e in g.edges], dtype=np.int64).reshape(-1, 2)
-    return _assemble_laplacian(g.n, ends.min(axis=1), ends.max(axis=1), g.weights())
+    return _assemble_laplacian(g.n, *g._ends(), g.weights())
 
 
 def _components(matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -5,12 +5,21 @@ Edge-list files are UTF-8 text: a header line ``n m``, then m lines
 hold one decimal number per line. Lines starting with ``#`` are comments and
 blank lines are ignored in both formats. Weights are written with ``repr`` so
 a save/load round trip is bit-exact.
+
+An edge list is read in one C-level pass: np.loadtxt parses the lines after
+the header into endpoint and weight arrays, which become the graph's storage
+as they are. The per-line parser, ``_load_lines``, defines the grammar; the
+fast pass declines every file it might read differently (see
+``_load_arrays``), and the per-line parser then returns the same graph or
+raises the same GraphParseError, line number included. The grammar is the
+same either way.
 """
 
 from __future__ import annotations
 
 import io as _io
 import math
+import warnings
 from pathlib import Path
 from typing import IO
 
@@ -62,20 +71,73 @@ def load_graph(source: str | Path | IO) -> WeightedGraph:
     non-positive weight, self-loop, out-of-range vertex id, or edge-count
     mismatch with the header.
     """
-    lines = _content_lines(_read_text(source))
+    text = _read_text(source)
+    g = _load_arrays(text)
+    return _load_lines(text) if g is None else g
+
+
+#: line breaks of str.splitlines that np.loadtxt does not break at; a lone \r is one too
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_EDGE_ROW = np.dtype([("u", "i8"), ("v", "i8"), ("w", "f8")])
+
+
+def _load_arrays(text: str) -> WeightedGraph | None:
+    """The graph from one np.loadtxt pass over the edge lines, or None to defer.
+
+    Defers to _load_lines, the grammar's reference, on anything it might read
+    differently: another line break than \\n or \\r\\n, a ``#`` after the
+    header, a bad header, a token or line loadtxt refuses or warns about, a
+    row count other than m, or an edge the graph refuses. Whatever it
+    returns, _load_lines returns too.
+    """
+    if any(c in text for c in _OTHER_BREAKS) or text.count("\r") != text.count("\r\n"):
+        return None
+    start = 0
+    while True:
+        end = text.find("\n", start)
+        header = text[start : None if end < 0 else end].strip()
+        if header and not header.startswith("#"):
+            break
+        if end < 0:
+            return None
+        start = end + 1
+    body = "" if end < 0 else text[end + 1 :]
+    if "#" in body:
+        return None
+    try:
+        n, m = _parse_header(header, None)
+        with warnings.catch_warnings():
+            # numpy before 2.0 reads "1.0" into an int field, with a DeprecationWarning
+            warnings.simplefilter("error")
+            rows = np.loadtxt(_io.StringIO(body), dtype=_EDGE_ROW, ndmin=1, comments=None)
+        if rows.size != m:
+            return None
+        return WeightedGraph._from_arrays(n, rows["u"], rows["v"], rows["w"])
+    except (ValueError, OverflowError, Warning):  # GraphParseError is a ValueError
+        return None
+
+
+def _parse_header(header: str, lineno: int | None) -> tuple[int, int]:
+    tokens = header.split()
+    if len(tokens) != 2:
+        raise GraphParseError(f"header must be 'n m', got {header!r}", lineno)
+    n = _parse_int(tokens[0], "vertex count", lineno)
+    m = _parse_int(tokens[1], "edge count", lineno)
+    if n < 2:
+        raise GraphParseError(f"vertex count must be >= 2, got {n}", lineno)
+    if m < 0:
+        raise GraphParseError(f"edge count must be >= 0, got {m}", lineno)
+    return n, m
+
+
+def _load_lines(text: str) -> WeightedGraph:
+    """The grammar's reference: parse line by line, raising on the first bad line."""
+    lines = _content_lines(text)
     try:
         header_lineno, header = next(lines)
     except StopIteration:
         raise GraphParseError("empty file: expected a 'n m' header line") from None
-    tokens = header.split()
-    if len(tokens) != 2:
-        raise GraphParseError(f"header must be 'n m', got {header!r}", header_lineno)
-    n = _parse_int(tokens[0], "vertex count", header_lineno)
-    m = _parse_int(tokens[1], "edge count", header_lineno)
-    if n < 2:
-        raise GraphParseError(f"vertex count must be >= 2, got {n}", header_lineno)
-    if m < 0:
-        raise GraphParseError(f"edge count must be >= 0, got {m}", header_lineno)
+    n, m = _parse_header(header, header_lineno)
 
     edges = []
     for lineno, line in lines:

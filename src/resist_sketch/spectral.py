@@ -111,6 +111,11 @@ def _grounded_weights(factors: IncidenceFactors, keep: np.ndarray, scale: int) -
     return both.reshape(rank + 1, rank + 1)[:rank]
 
 
+def _half_scale(weights: np.ndarray) -> int:
+    """h with the weights times 2**(-2h) centred on 1 in log scale; that scaling is exact."""
+    return round((math.log2(weights.max()) + math.log2(weights.min())) / 4)
+
+
 def _grounded_factor(factors: IncidenceFactors, keep: np.ndarray) -> np.ndarray:
     """F = L^-T D^-1/2 of the grounded Laplacian L D L^T, zero rows at the grounds.
 
@@ -124,8 +129,7 @@ def _grounded_factor(factors: IncidenceFactors, keep: np.ndarray) -> np.ndarray:
     triangular solve and product sums terms of one sign. L is stored in place,
     below the diagonal of a; only a's upper triangle holds current weights.
     """
-    w = factors.weights
-    half = round((math.log2(w.max()) + math.log2(w.min())) / 4)
+    half = _half_scale(factors.weights)
     a = _grounded_weights(factors, keep, -2 * half)
     rank = a.shape[0]
     pivots = np.empty(rank)
@@ -189,6 +193,9 @@ def effective_resistances(g: WeightedGraph | IncidenceFactors) -> np.ndarray:
     Laplacian, assembled diagonal included, and inverts it in place (dpotrf,
     dpotri). With X that inverse, zero at the grounds, edge (u, v) has
     resistance X[u,u] + X[v,v] - 2 X[u,v], the same as through L^+. The
+    weights are first scaled by the even power of two spectral_profile uses,
+    so no weighted degree overflows; that scaling commutes exactly with both
+    LAPACK steps and is undone on the result. The
     subtraction loses accuracy as the weights spread, so this route is a
     cross-check, not the oracle. Takes a graph or its incidence factors.
     """
@@ -196,8 +203,9 @@ def effective_resistances(g: WeightedGraph | IncidenceFactors) -> np.ndarray:
     if factors.m == 0:
         return np.zeros(0)
     lo, hi = factors.lo, factors.hi
+    scale = 2 * _half_scale(factors.weights)
     _, keep, factor = _grounded_cholesky(
-        _assemble_laplacian(factors.n, lo, hi, factors.weights)
+        _assemble_laplacian(factors.n, lo, hi, np.ldexp(factors.weights, -scale))
     )
     inverse, info = scipy.linalg.lapack.dpotri(factor, overwrite_c=1)
     if info:
@@ -208,7 +216,8 @@ def effective_resistances(g: WeightedGraph | IncidenceFactors) -> np.ndarray:
     at = np.cumsum(keep) - 1
     a, b = at[lo], at[hi]
     diag = inverse.diagonal()
-    return np.where(keep[lo], diag[a] - 2.0 * inverse[a, b], 0.0) + diag[b]
+    scaled = np.where(keep[lo], diag[a] - 2.0 * inverse[a, b], 0.0) + diag[b]
+    return np.ldexp(scaled, -scale)
 
 
 #: slack for validating supplied probabilities against the leverage floor

@@ -90,12 +90,34 @@ def orthonormal_basis(g: WeightedGraph) -> np.ndarray:
         lo, hi = (u, v) if u < v else (v, u)
         phi[i, lo] = s
         phi[i, hi] = -s
-    q, r, _ = scipy.linalg.qr(phi, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
+    rank = _rank(g)
+    if rank == 0:
         return np.zeros((g.m, 0))
-    rank = int(np.sum(diag > diag[0] * max(phi.shape) * np.finfo(float).eps))
+    q, _, _ = scipy.linalg.qr(phi, mode="economic", pivoting=True)
     return q[:, :rank]
+
+
+def _rank(g: WeightedGraph) -> int:
+    """n minus the number of components: one union per edge joining two components.
+
+    Counted, not read off R's diagonal: the round-off left on a dependent
+    column can pass any fixed threshold (two vertices, parallel edges of
+    weights 0.01, 41.1 and 25.7 read as rank 2).
+    """
+    parent = list(range(g.n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    rank = 0
+    for u, v, _ in g.edges:
+        a, b = root(u), root(v)
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank
 
 
 def leverage_by_qr(g: WeightedGraph) -> np.ndarray:

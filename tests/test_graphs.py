@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,78 @@ class TestWeightedGraph:
     def test_frozen(self, triangle):
         with pytest.raises(AttributeError):
             triangle.n = 5
+
+
+class TestGraphContract:
+    """What the array storage keeps of the edge-tuple graph."""
+
+    @given(weighted_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_equal_edge_lists_equal_graphs(self, g):
+        twin = rs.WeightedGraph(g.n, list(g.edges))
+        assert twin == g and hash(twin) == hash(g)
+        buffer = io.StringIO()
+        rs.save_graph(g, buffer)
+        loaded = rs.load_graph(io.StringIO(buffer.getvalue()))
+        assert loaded == g and hash(loaded) == hash(g)
+
+    def test_unequal_graphs(self, triangle):
+        assert triangle != rs.WeightedGraph(4, triangle.edges)
+        assert triangle != rs.WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 2.0)])
+        assert triangle != rs.WeightedGraph(3, [(1, 0, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        assert triangle != rs.WeightedGraph(3, triangle.edges[:2])
+        assert triangle != triangle.edges
+
+    def test_edges_are_python_scalars(self):
+        g = rs.WeightedGraph(
+            3, [(np.int64(0), np.int32(2), np.float64(0.1)), (np.uint8(1), 2, np.float32(2.5))]
+        )
+        assert g.edges == ((0, 2, 0.1), (1, 2, 2.5))
+        assert all(type(x) is t for e in g.edges for x, t in zip(e, (int, int, float)))
+        buffer = io.StringIO()
+        rs.save_graph(g, buffer)
+        assert buffer.getvalue() == "3 2\n0 2 0.1\n1 2 2.5\n"
+
+    def test_arrays_read_only(self, triangle):
+        for array in (triangle.weights(), rs.incidence_factors(triangle).weights):
+            with pytest.raises(ValueError):
+                array[0] = 2.0
+        assert not any(a.flags.writeable for a in triangle._arrays)
+
+    def test_edges_cannot_be_set_or_deleted(self, triangle):
+        with pytest.raises(AttributeError):
+            triangle.edges = ()
+        with pytest.raises(AttributeError):
+            del triangle.n
+
+    @pytest.mark.parametrize(
+        "n,edges,message",
+        [
+            (3, [(0, 1, 1.0), (0, 0, -1.0), (5, 1, 1.0)], "edge 1: self-loop at vertex 0"),
+            (
+                3,
+                [(0, 1, 1.0), (3, 3, float("nan"))],
+                "edge 1: endpoint out of range for n=3: (3, 3)",
+            ),
+            (3, [(0, 1, 0.0), (1, 1, 1.0)], "edge 0: weight must be finite and positive, got 0.0"),
+            (
+                3,
+                [(0, 1, 1.0), (2**70, 0, -1.0), (1, 1, 1.0)],
+                "edge 1: endpoint out of range for n=3: (1180591620717411303424, 0)",
+            ),
+            (
+                3,
+                [(0, 2, 2.5), (1, 2, float("inf")), (-1, 1, 1.0)],
+                "edge 1: weight must be finite and positive, got inf",
+            ),
+            (1, [(0, 0, 1.0)], "vertex count must be >= 2, got 1"),
+        ],
+    )
+    def test_first_fault_reported(self, n, edges, message):
+        # the first bad edge, and its first failed check: endpoints, self-loop, weight
+        with pytest.raises(ValueError) as exc:
+            rs.WeightedGraph(n, edges)
+        assert str(exc.value) == message
 
 
 class TestIncidence:

@@ -103,6 +103,13 @@ class TestCmdResistance:
         np.testing.assert_allclose(out["resistance"], 2.0 / 3.0, atol=1e-10)
         assert out["lemma_max_relerr"] <= 1e-8
 
+    def test_heavy_star_passes_the_cross_check(self, graph_file):
+        # the hub's weighted degree, 5 * 5e307, overflows unless the weights are scaled
+        star = rs.WeightedGraph(6, [(leaf, 5, 5e307) for leaf in range(5)])
+        out = rs.cmd_resistance(cfg_for(graph_file(star), mode="resistance"))
+        assert out["lemma_max_relerr"] <= 1e-15
+        np.testing.assert_allclose(out["resistance"], 1 / 5e307, rtol=1e-15)
+
 
 class TestCmdSparsify:
     def test_fields_and_rule(self, graph_file, triangle):

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import resist_sketch as rs
 from resist_sketch import spectral
@@ -64,6 +64,10 @@ class TestSpectralProfile:
 
     @given(weighted_graphs())
     @settings(max_examples=40, deadline=None)
+    # a dependent column whose round-off in R passes a fixed rank threshold
+    @example(
+        rs.WeightedGraph(2, [(0, 1, 0.01), (0, 1, 41.1403049029678), (0, 1, 25.660478953408123)])
+    )
     def test_basis_independent_of_factorization(self, g):
         # same scores from a column-pivoted QR of the whole incidence matrix
         prof = profile_of(g)
@@ -198,6 +202,12 @@ class TestEffectiveResistances:
 
     def test_no_edges(self):
         assert rs.effective_resistances(rs.WeightedGraph(3, [])).shape == (0,)
+
+    @pytest.mark.parametrize("weight", [1e-300, 1.7e308])
+    def test_extreme_uniform_weights(self, weight):
+        # weighted degrees of 3 * 1.7e308 would overflow without the scaling
+        g = rs.WeightedGraph(4, [(u, v, weight) for u, v, _ in rs.complete(4).edges])
+        np.testing.assert_allclose(rs.effective_resistances(g) * weight, 0.5, rtol=1e-14)
 
     def test_unfactorable_bridge_refused(self):
         # at 1e-18 the bridge vanishes from the assembled diagonal 2 + 1e-18
