@@ -1,4 +1,4 @@
-"""Built-in graph families used by the tests and the experiment scripts."""
+"""Built-in graph families: paths, cycles, complete graphs and seeded random graphs."""
 
 from __future__ import annotations
 

@@ -179,13 +179,14 @@ def laplacian_of(g: WeightedGraph) -> sparse.csr_matrix:
     return _assemble_laplacian(g.n, *g._ends(), g.weights())
 
 
-def _components(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Component labels of a symmetric matrix's nonzero pattern, and the non-grounds.
+def _components(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component labels of the graph on n vertices with edges (lo_i, hi_i), and the non-grounds.
 
     The first vertex of each component is its ground. A Laplacian restricted
     to the other vertices is nonsingular; its rank is their count, n - #components.
     """
-    _, labels = csgraph.connected_components(matrix, directed=False)
+    adjacency = sparse.csr_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n))
+    _, labels = csgraph.connected_components(adjacency, directed=False)
     keep = np.ones(labels.size, dtype=bool)
     keep[np.unique(labels, return_index=True)[1]] = False
     return labels, keep
@@ -200,5 +201,5 @@ def _centre(v: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def component_count(g: WeightedGraph) -> int:
     """Number of connected components (isolated vertices count)."""
-    _, keep = _components(laplacian_of(g))
+    _, keep = _components(g.n, *g._ends())
     return int(np.count_nonzero(~keep))

@@ -175,16 +175,16 @@ def cmd_leverage(cfg: RunConfig) -> dict[str, Any]:
         "n": g.n,
         "m": g.m,
         "rank": profile.rank,
-        "leverage": profile.leverage.tolist(),
-        "resistance": profile.resistance.tolist(),
-        "probabilities": p.tolist(),
+        "leverage": profile.leverage,
+        "resistance": profile.resistance,
+        "probabilities": p,
         "leverage_sum": float(profile.leverage.sum()),
         "max_leverage": float(profile.leverage.max()),
     }
 
 
 def cmd_resistance(cfg: RunConfig) -> dict[str, Any]:
-    """Effective resistances via the dense pseudoinverse, with cross-check.
+    """Effective resistances via the grounded Cholesky inverse, with cross-check.
 
     The resistances come from the Cholesky inverse of the grounded Laplacian,
     which gives the same values as L^+. A cross-check gap above 1e-8, or a
@@ -200,7 +200,7 @@ def cmd_resistance(cfg: RunConfig) -> dict[str, Any]:
         "n": g.n,
         "m": g.m,
         "rank": profile.rank,
-        "resistance": resistance.tolist(),
+        "resistance": resistance,
         "lemma_max_relerr": gap,
     }
 
@@ -246,7 +246,7 @@ def cmd_solve(cfg: RunConfig) -> dict[str, Any]:
         "r_source": source,
         "off_theorem": source == "override",
         "exact": {
-            "x": exact.x.tolist(),
+            "x": exact.x,
             "residual_two_norm": exact.residual_two_norm,
             "null_component": exact.null_component,
             "rank": exact.rank,
@@ -344,6 +344,8 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and np.isfinite(value).all():
+            return value.tolist()  # plain floats already, in one pass
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sparse
 
 from .errors import ParameterError, check
 from .graphs import IncidenceFactors, _centre
@@ -64,13 +65,15 @@ def _check_rhs(matrix, b: np.ndarray) -> np.ndarray:
 def _pinv_apply(matrix, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimal-norm solution of a Laplacian system, and the Laplacian's rank.
 
-    Centres b on each component of the matrix's own graph, solves by Cholesky
+    Reads the edges off the strict upper triangle (an overflowed diagonal is
+    never read), centres b on each component of their graph, solves by Cholesky
     with one vertex per component grounded, and centres x on each component.
     """
-    labels, keep, factor = _grounded_cholesky(matrix)
+    pairs = sparse.triu(matrix, k=1, format="coo")
+    labels, keep, half, factor = _grounded_cholesky(b.size, pairs.row, pairs.col, -pairs.data)
     b = _centre(b, labels)
     x = np.zeros(labels.size)
-    x[keep] = scipy.linalg.cho_solve((factor, False), b[keep])
+    x[keep] = np.ldexp(scipy.linalg.cho_solve((factor, False), b[keep]), -2 * half)
     return _centre(x, labels), int(np.count_nonzero(keep))
 
 

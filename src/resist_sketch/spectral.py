@@ -21,17 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sparse
 
 from .errors import FactorizationError, ParameterError, check
-from .graphs import (
-    IncidenceFactors,
-    WeightedGraph,
-    _assemble_laplacian,
-    _centre,
-    _components,
-    incidence_factors,
-)
+from .graphs import IncidenceFactors, WeightedGraph, _centre, _components, incidence_factors
 
 
 @dataclass(frozen=True)
@@ -73,10 +65,9 @@ def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
     """
     if factors.m < 1:
         raise ParameterError("graph has no edges")
-    labels, keep = _components(factors.incidence.T @ factors.incidence)
-    rank = int(np.count_nonzero(keep))
     with np.errstate(all="ignore"):
-        f = _grounded_factor(factors, keep)
+        labels, keep, f = _grounded_factor(factors.n, factors.lo, factors.hi, factors.weights)
+        rank = f.shape[1]
         resistance = np.empty(factors.m)
         for at in range(0, factors.m, _EDGE_CHUNK):
             edges = slice(at, at + _EDGE_CHUNK)
@@ -96,41 +87,44 @@ def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
     )
 
 
-def _grounded_weights(factors: IncidenceFactors, keep: np.ndarray, scale: int) -> np.ndarray:
-    """Dense weights among the non-ground vertices, each times 2**scale, and to the grounds.
+def _grounded_weights(
+    n: int, lo: np.ndarray, hi: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Ground one vertex per component and scale the weights; nothing else does either.
 
-    Entry (i, j) of the rank x (rank + 1) result sums the weights of the
-    edges between the i-th and j-th non-ground vertices (zero diagonal); the
-    last column sums each one's weights to the grounds.
+    Returns the labels and non-grounds of ``_components``, h, and the dense
+    rank x (rank + 1) weights a, each times 2**(-2h), which centres their span
+    on 1: exact, and no weighted degree can overflow. a[i, j] sums the edges
+    between the i-th and j-th non-grounds (zero diagonal), a[i, rank] those to
+    the grounds. Each consumer undoes the scaling on its result with one ldexp.
     """
+    labels, keep = _components(n, lo, hi)
     rank = int(np.count_nonzero(keep))
+    half = round((math.log2(weights.max()) + math.log2(weights.min())) / 4) if weights.size else 0
     at = np.where(keep, np.cumsum(keep) - 1, rank)  # every ground maps to column rank
-    u, v, w = at[factors.lo], at[factors.hi], np.ldexp(factors.weights, scale)
+    u, v, w = at[lo], at[hi], np.ldexp(weights, -2 * half)
     size = (rank + 1) ** 2
     both = np.bincount(u * (rank + 1) + v, w, size) + np.bincount(v * (rank + 1) + u, w, size)
-    return both.reshape(rank + 1, rank + 1)[:rank]
+    return labels, keep, half, both.reshape(rank + 1, rank + 1)[:rank]
 
 
-def _half_scale(weights: np.ndarray) -> int:
-    """h with the weights times 2**(-2h) centred on 1 in log scale; that scaling is exact."""
-    return round((math.log2(weights.max()) + math.log2(weights.min())) / 4)
+def _grounded_factor(
+    n: int, lo: np.ndarray, hi: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels, non-grounds and F = L^-T D^-1/2 of the grounded Laplacian L D L^T.
 
-
-def _grounded_factor(factors: IncidenceFactors, keep: np.ndarray) -> np.ndarray:
-    """F = L^-T D^-1/2 of the grounded Laplacian L D L^T, zero rows at the grounds.
-
-    The weights are first scaled by an even power of two that centres their
-    span on 1; that is exact, and no weighted degree can overflow. Vertices are
-    eliminated in panels of _PANEL. Within a panel, each vertex's weight to
-    everything outside it (the grounds included) is one running sum. After
-    it, L_KK holds the panel's factor, Z = L_KK^-1 a[K, R+g] >= 0 for the
-    rest R and the grounds g, and a[R, R+g] gains Z_R^T D_K^-1 Z, one GEMM,
-    while L_RK = -Z_R^T D_K^-1. Every off-diagonal entry of L is <= 0, so each
-    triangular solve and product sums terms of one sign. L is stored in place,
-    below the diagonal of a; only a's upper triangle holds current weights.
+    F has zero rows at the grounds. The array a of ``_grounded_weights`` is
+    eliminated in place and freed before F is formed; the weights' scaling by
+    2**(-2h) is undone on F, times 2**-h. Vertices are eliminated in panels of
+    _PANEL. Within a panel, each vertex's weight to everything outside it (the
+    grounds included) is one running sum. After it, L_KK holds the panel's
+    factor, Z = L_KK^-1 a[K, R+g] >= 0 for the rest R and the grounds g, and
+    a[R, R+g] gains Z_R^T D_K^-1 Z, one GEMM, while L_RK = -Z_R^T D_K^-1.
+    Every off-diagonal entry of L is <= 0, so each triangular solve and
+    product sums terms of one sign. L is stored in place, below the diagonal
+    of a; only a's upper triangle holds current weights.
     """
-    half = _half_scale(factors.weights)
-    a = _grounded_weights(factors, keep, -2 * half)
+    labels, keep, half, a = _grounded_weights(n, lo, hi, weights)
     rank = a.shape[0]
     pivots = np.empty(rank)
     for k0 in range(0, rank, _PANEL):
@@ -163,50 +157,48 @@ def _grounded_factor(factors: IncidenceFactors, keep: np.ndarray) -> np.ndarray:
     inverse = np.triu(inverse, 1)  # a's weights sat below the diagonal of L^-T
     np.fill_diagonal(inverse, 1.0)
     inverse *= np.ldexp(1.0 / np.sqrt(pivots), -half)
-    f = np.zeros((factors.n, rank))
+    f = np.zeros((n, rank))
     f[keep] = inverse
-    return f
+    return labels, keep, f
 
 
-def _grounded_cholesky(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper Cholesky factor of a Laplacian with one vertex per component grounded.
+def _grounded_cholesky(
+    n: int, lo: np.ndarray, hi: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Upper Cholesky factor U of the grounded Laplacian of ``_grounded_weights``.
 
-    Returns the labels and non-ground mask of ``_components(matrix)`` and U,
-    Fortran-ordered with a zero strict lower triangle, where U^T U is the
-    matrix restricted to the non-ground vertices. A failed or non-finite
-    factor raises FactorizationError.
+    Returns that call's labels, non-grounds and h, and U, Fortran-ordered and
+    upper: U^T U is the edges' Laplacian times 2**(-2h) on the non-grounds,
+    with a's row sums on its diagonal; the caller undoes the scaling. A failed
+    or non-finite factor raises FactorizationError.
     """
-    matrix = sparse.csr_matrix(matrix)
-    labels, keep = _components(matrix)
-    grounded = matrix[keep][:, keep].toarray(order="F")
+    labels, keep, half, a = _grounded_weights(n, lo, hi, weights)
+    rank = a.shape[0]
+    grounded = -a[:, :rank].T  # symmetric: the transpose is the Fortran-ordered copy
+    np.fill_diagonal(grounded, a.sum(axis=1))
     factor, info = scipy.linalg.lapack.dpotrf(grounded, overwrite_a=1)
     if info or not np.all(np.isfinite(factor.diagonal())):
-        k = factor.shape[0]
-        raise FactorizationError(f"Cholesky of the {k}x{k} grounded system matrix failed")
-    return labels, keep, factor
+        raise FactorizationError(f"Cholesky of the {rank}x{rank} grounded system matrix failed")
+    return labels, keep, half, factor
 
 
 def effective_resistances(g: WeightedGraph | IncidenceFactors) -> np.ndarray:
     """Per-edge effective resistances through the inverse of the grounded Laplacian.
 
     Independent of ``spectral_profile``: LAPACK factors the grounded
-    Laplacian, assembled diagonal included, and inverts it in place (dpotrf,
-    dpotri). With X that inverse, zero at the grounds, edge (u, v) has
-    resistance X[u,u] + X[v,v] - 2 X[u,v], the same as through L^+. The
-    weights are first scaled by the even power of two spectral_profile uses,
-    so no weighted degree overflows; that scaling commutes exactly with both
-    LAPACK steps and is undone on the result. The
-    subtraction loses accuracy as the weights spread, so this route is a
-    cross-check, not the oracle. Takes a graph or its incidence factors.
+    Laplacian of ``_grounded_cholesky``, assembled diagonal included, and
+    inverts it in place (dpotrf, dpotri). With X that inverse, zero at the
+    grounds, edge (u, v) has resistance X[u,u] + X[v,v] - 2 X[u,v], the same
+    as through L^+. The weights' scaling by 2**(-2h) commutes exactly with
+    both LAPACK steps and is undone on the result. The subtraction loses
+    accuracy as the weights spread, so this route is a cross-check, not the
+    oracle. Takes a graph or its incidence factors.
     """
     factors = g if isinstance(g, IncidenceFactors) else incidence_factors(g)
     if factors.m == 0:
         return np.zeros(0)
     lo, hi = factors.lo, factors.hi
-    scale = 2 * _half_scale(factors.weights)
-    _, keep, factor = _grounded_cholesky(
-        _assemble_laplacian(factors.n, lo, hi, np.ldexp(factors.weights, -scale))
-    )
+    _, keep, half, factor = _grounded_cholesky(factors.n, lo, hi, factors.weights)
     inverse, info = scipy.linalg.lapack.dpotri(factor, overwrite_c=1)
     if info:
         k = inverse.shape[0]
@@ -217,7 +209,7 @@ def effective_resistances(g: WeightedGraph | IncidenceFactors) -> np.ndarray:
     a, b = at[lo], at[hi]
     diag = inverse.diagonal()
     scaled = np.where(keep[lo], diag[a] - 2.0 * inverse[a, b], 0.0) + diag[b]
-    return np.ldexp(scaled, -scale)
+    return np.ldexp(scaled, -2 * half)
 
 
 #: slack for validating supplied probabilities against the leverage floor

@@ -157,6 +157,28 @@ class TestExitCodes:
         assert out == ""
         assert "numerical failure" in err and "rank" in err
 
+    @pytest.mark.parametrize("mode", ["leverage", "resistance", "sparsify", "solve", "verify"])
+    def test_extreme_weight_exit_codes(self, tmp_path, capsys, mode):
+        # a 5-leaf star whose hub degree, 5 * 5e307, overflows: every mode
+        # scales the weights first and exits 0
+        star = tmp_path / "star.txt"
+        with open(star, "w", encoding="utf-8") as fh:
+            rs.save_graph(rs.WeightedGraph(6, [(leaf, 5, 5e307) for leaf in range(5)]), fh)
+        code, out, _ = run(capsys, mode, "--graph", str(star), "--trials", "2")
+        assert code == 0
+        assert json.loads(out)["mode"] == mode
+        # a 1e-18 bridge: the scores and the draw resolve it, but the grounded
+        # Cholesky behind the cross-check and the sparsified solve loses it
+        # and refuses (exit 2), never exit 1 or an uncaught exception
+        code, out, err = run(
+            capsys, mode, "--graph", bridged_triangles(tmp_path, 1e-18), "--trials", "2"
+        )
+        if mode in ("leverage", "sparsify"):
+            assert code == 0
+        else:
+            assert code == 2
+            assert out == "" and "numerical failure" in err
+
     def test_verify_only_reports_failed_cross_check(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "verify", "--graph", bridged_triangles(tmp_path, 1e-10),
@@ -196,7 +218,7 @@ def test_cli_determinism(tri_file, tmp_path, capsys):
 
 _SUMMARIES = {
     "leverage": "Per-edge leverage scores, resistances, and sampling probabilities.",
-    "resistance": "Effective resistances via the dense pseudoinverse, with cross-check.",
+    "resistance": "Effective resistances via the grounded Cholesky inverse, with cross-check.",
     "sparsify": "Draw one sparsifier and report its size and concentration deviation.",
     "solve": "Solve the exact and sparsified systems once and compare them.",
     "verify": "Monte Carlo check of the accuracy and concentration guarantees.",

@@ -107,7 +107,12 @@ class TestNumericalFailure:
     def test_failing_qr_raises(self, monkeypatch):
         # a forced zero pivot: the elimination sees no weights at all
         weights = spectral._grounded_weights
-        monkeypatch.setattr(spectral, "_grounded_weights", lambda *args: 0.0 * weights(*args))
+
+        def zeroed(*args):
+            labels, keep, half, a = weights(*args)
+            return labels, keep, half, 0.0 * a
+
+        monkeypatch.setattr(spectral, "_grounded_weights", zeroed)
         with pytest.raises(rs.FactorizationError, match="pivot 0 of the rank-3 grounded") as info:
             spectral.spectral_profile(rs.incidence_factors(rs.path(4)))
         assert info.value.condition_estimate == float("inf")

@@ -121,6 +121,26 @@ class TestSolveSparsified:
         assert report.rank == 1
 
 
+class TestWeightScaling:
+    def test_overflowing_degrees_scale_exactly(self):
+        # the hub's weighted degree, 5 * 2**1022, overflows float64; both solves
+        # read only the edge weights, scaled by a power of two, so they give
+        # the unit star's solutions times 2**(60 - 1022), bit for bit
+        b = np.array([1.0, -2.0, 0.5, 3.0, -1.5, 0.25])
+        solutions = []
+        for weight, rhs in ((1.0, b), (2.0**1022, np.ldexp(b, 60))):
+            g = rs.WeightedGraph(6, [(leaf, 5, weight) for leaf in range(5)])
+            plan = rs.SamplingPlan(
+                probabilities=rs.leverage_probabilities(profile_of(g)),
+                beta=1.0, epsilon=0.5, c0=1.0, r=40, seed=4,
+            )
+            system = rs.build_sparsifier(rs.incidence_factors(g), plan)
+            exact = rs.solve_exact(rs.laplacian_of(g), rhs)
+            solutions.append((rs.solve_sparsified(system, rhs).x, exact.x))
+        for unit, heavy in zip(*solutions):
+            np.testing.assert_array_equal(heavy, np.ldexp(unit, -962))
+
+
 class TestEnergyNorm:
     def test_unit_edge(self, single_edge):
         L = rs.laplacian_of(single_edge)

@@ -50,6 +50,12 @@ class TestSpectralProfile:
 
     @given(weighted_graphs())
     @settings(max_examples=60, deadline=None)
+    # isolated vertices 2 and 6, and parallel edges given in both endpoint orders
+    @example(
+        rs.WeightedGraph(
+            7, [(0, 1, 1.0), (1, 0, 2.5), (3, 4, 0.5), (4, 3, 0.5), (5, 4, 3.0), (0, 1, 1e-3)]
+        )
+    )
     def test_profile_invariants(self, g):
         prof = profile_of(g)
         assert np.all(prof.leverage >= -1e-12)
