@@ -46,8 +46,8 @@ class SpectralProfile:
 
 #: vertices eliminated per panel before one Schur update of the rest
 _PANEL = 32
-#: edges per chunk of the resistance sum, so no m x rank difference array is held
-_EDGE_CHUNK = 1024
+#: bytes of edge differences per resistance chunk: cache-sized, so the buffers are reused
+_EDGE_CHUNK_BYTES = 1 << 18
 
 
 def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
@@ -69,8 +69,9 @@ def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
         labels, keep, f = _grounded_factor(factors.n, factors.lo, factors.hi, factors.weights)
         rank = f.shape[1]
         resistance = np.empty(factors.m)
-        for at in range(0, factors.m, _EDGE_CHUNK):
-            edges = slice(at, at + _EDGE_CHUNK)
+        step = max(1, _EDGE_CHUNK_BYTES // (8 * max(rank, 1)))
+        for at in range(0, factors.m, step):
+            edges = slice(at, at + step)
             diffs = f[factors.lo[edges]] - f[factors.hi[edges]]
             resistance[edges] = np.einsum("ij,ij->i", diffs, diffs)
         leverage = factors.weights * resistance
