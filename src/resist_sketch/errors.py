@@ -50,12 +50,4 @@ def check(**values) -> None:
 
 
 class FactorizationError(RuntimeError):
-    """A dense factorization failed, or its result failed a cross-check.
-
-    ``condition_estimate`` holds a rough condition number of the offending
-    matrix when one could be computed, else ``inf``.
-    """
-
-    def __init__(self, message: str, condition_estimate: float = float("inf")):
-        self.condition_estimate = condition_estimate
-        super().__init__(f"{message} (condition estimate: {condition_estimate:.3e})")
+    """A dense factorization failed, or its result failed a cross-check."""

@@ -143,16 +143,16 @@ def incidence_factors(g: WeightedGraph) -> IncidenceFactors:
     max(u_i, v_i); the orientation is arbitrary mathematically, fixed here so
     outputs are deterministic.
     """
-    lo, hi = g._ends()
-    lo.setflags(write=False)
-    hi.setflags(write=False)
-    return IncidenceFactors(incidence=_incidence(g.n, lo, hi), weights=g.weights(), lo=lo, hi=hi)
+    return _edge_factors(g.n, *g._ends(), g.weights())
 
 
-def _incidence(n: int, lo: np.ndarray, hi: np.ndarray) -> sparse.csr_matrix:
-    """Signed incidence of the edges (lo_i, hi_i): row i is +1 at lo_i, -1 at hi_i."""
+def _edge_factors(n: int, lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> IncidenceFactors:
+    """IncidenceFactors of the edges (lo_i, hi_i, w_i), lo_i < hi_i; the arrays kept read-only."""
+    for a in (lo, hi, w):
+        a.setflags(write=False)
     data, indptr = np.tile([1.0, -1.0], lo.size), np.arange(0, 2 * lo.size + 1, 2)
-    return sparse.csr_matrix((data, np.column_stack([lo, hi]).ravel(), indptr), (lo.size, n))
+    incidence = sparse.csr_matrix((data, np.column_stack([lo, hi]).ravel(), indptr), (lo.size, n))
+    return IncidenceFactors(incidence=incidence, weights=w, lo=lo, hi=hi)
 
 
 def _assemble_laplacian(

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io
 from .errors import FactorizationError, ParameterError, check
-from .graphs import IncidenceFactors, WeightedGraph, incidence_factors, laplacian_of
+from .graphs import IncidenceFactors, WeightedGraph, incidence_factors
 from .sampling import (
     SamplingPlan,
     build_sparsifier,
@@ -230,11 +230,10 @@ def cmd_solve(cfg: RunConfig) -> dict[str, Any]:
     t0 = time.perf_counter()
     g, factors, profile = _analyze(cfg)
     t_analyze = time.perf_counter()
-    L = laplacian_of(g)
     b = _load_rhs(cfg, g.n)
     plan, source = _plan_for(cfg, profile, g.n)
     t_plan = time.perf_counter()
-    exact = solve_exact(L, b, profile=profile)
+    exact = solve_exact(factors, b, profile=profile)
     system = build_sparsifier(factors, plan)
     scored = error_report(exact, solve_sparsified(system, b), factors, cfg.epsilon)
     t_done = time.perf_counter()
@@ -274,9 +273,8 @@ def cmd_verify(cfg: RunConfig) -> VerifyReport:
     so both the per-trial and the in-expectation guarantees can be judged.
     """
     g, factors, profile = _analyze(cfg)
-    L = laplacian_of(g)
     b = _load_rhs(cfg, g.n)
-    exact = solve_exact(L, b, profile=profile)
+    exact = solve_exact(factors, b, profile=profile)
     plan0, source = _plan_for(cfg, profile, g.n)
     bound = math.sqrt(cfg.epsilon) / 2.0
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import ParameterError, check
-from .graphs import IncidenceFactors, _assemble_laplacian, _incidence
+from .graphs import IncidenceFactors, _assemble_laplacian, _edge_factors
 from .spectral import SpectralProfile
 
 _PROB_SUM_TOL = 1e-12
@@ -68,13 +68,18 @@ class SparsifiedSystem:
     """A reweighted subset of a graph's edges and its Laplacian.
 
     edges       indices of the drawn edges, ascending
-    weights     their new weights w_i c_i / (r p_i), c_i the edge's draw count
+    factors     IncidenceFactors of the drawn edges, in that order, weighted
+                w_i c_i / (r p_i), c_i the edge's draw count; weights reads them
     laplacian   n x n sparse symmetric Laplacian of the reweighted edges
     """
 
     edges: np.ndarray
-    weights: np.ndarray
+    factors: IncidenceFactors
     laplacian: sparse.csr_matrix
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.factors.weights
 
     @property
     def distinct_edges(self) -> int:
@@ -133,10 +138,10 @@ def build_sparsifier(factors: IncidenceFactors, plan: SamplingPlan) -> Sparsifie
     if np.any(p == 0.0):
         raise RuntimeError("drew an edge with zero probability")
     weights = factors.weights[hit] * (counts[hit] / (plan.r * p))
-    lap = _assemble_laplacian(factors.n, factors.lo[hit], factors.hi[hit], weights)
+    drawn = _edge_factors(factors.n, factors.lo[hit], factors.hi[hit], weights)
+    lap = _assemble_laplacian(drawn.n, drawn.lo, drawn.hi, weights)
     hit.setflags(write=False)
-    weights.setflags(write=False)
-    return SparsifiedSystem(edges=hit, weights=weights, laplacian=lap)
+    return SparsifiedSystem(edges=hit, factors=drawn, laplacian=lap)
 
 
 def concentration_check(profile: SpectralProfile, system: SparsifiedSystem) -> float:
@@ -147,17 +152,15 @@ def concentration_check(profile: SpectralProfile, system: SparsifiedSystem) -> f
     the sampled Gram matrix U^T D U is H^T L' H, L' = Phi^T D Phi the
     sparsifier's Laplacian. Returns max |lambda(H^T L' H) - 1|, which the
     guarantee controls; a sparsifier that splits a component scores at least 1.
-    L' H is summed from one difference H[i] - H[j] per off-diagonal pair of L':
-    its assembled rows, deg_i H[i] - sum_j w_ij H[j], cancel at wide weight spans.
+    L' H is summed from system.factors, one difference H[i] - H[j] per drawn edge:
+    the assembled rows of L', deg_i H[i] - sum_j w_ij H[j], cancel at wide spans.
     """
-    h, n = profile.pinv_factor, system.laplacian.shape[0]
-    if h.shape[0] != n:
-        raise ParameterError(f"profile has {h.shape[0]} vertices but the sparsifier has {n}")
-    pairs = sparse.triu(system.laplacian, k=1, format="coo")
-    diff = _incidence(n, pairs.row, pairs.col)
-    scaled = diff @ h
-    scaled *= -pairs.data[:, None]
-    gram = h.T @ (diff.T @ scaled)
+    h, drawn = profile.pinv_factor, system.factors
+    if h.shape[0] != drawn.n:
+        raise ParameterError(f"profile has {h.shape[0]} vertices but the sparsifier has {drawn.n}")
+    scaled = drawn.incidence @ h
+    scaled *= drawn.weights[:, None]
+    gram = h.T @ (drawn.incidence.T @ scaled)
     gram = 0.5 * (gram + gram.T)
     eigs = np.linalg.eigvalsh(gram)
     return float(np.max(np.abs(eigs - 1.0)))

@@ -6,6 +6,10 @@ pseudoinverse, so components of the right-hand side in the null space
 Solution quality is judged in the energy quadratic form x^T L x of the
 original Laplacian, the squared quantity the sparsification guarantee
 bounds. No square root is taken anywhere; tests compare like with like.
+
+Every Laplacian is read as edges, IncidenceFactors with L = B^T diag(w) B; a
+Laplacian matrix passed in is read through its strict upper triangle, so an
+overflowed diagonal is never read.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 from .errors import ParameterError, check
-from .graphs import IncidenceFactors, _centre
+from .graphs import IncidenceFactors, _centre, _edge_factors
 from .spectral import SpectralProfile, _grounded_cholesky
 
 #: below this times max(1, ||x|| ||L x||), the reference energy x^T L x counts
@@ -52,25 +56,24 @@ class SolveReport:
     success: bool | None = None
 
 
-def _check_rhs(matrix, b: np.ndarray) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    n = matrix.shape[0]
-    if b.shape != (n,):
-        raise ParameterError(f"right-hand side has shape {b.shape}, expected ({n},)")
-    if not np.all(np.isfinite(b)):
-        raise ParameterError("right-hand side must be finite")
-    return b
+def _edges(L) -> IncidenceFactors:
+    """L if it is IncidenceFactors, else the edges of its strict upper triangle, negated.
+
+    The one place a Laplacian matrix becomes edges; parallel edges arrive summed.
+    """
+    if isinstance(L, IncidenceFactors):
+        return L
+    pairs = sparse.triu(L, k=1, format="coo")
+    return _edge_factors(L.shape[0], pairs.row, pairs.col, -pairs.data)
 
 
-def _pinv_apply(matrix, b: np.ndarray) -> tuple[np.ndarray, int]:
+def _pinv_apply(edges: IncidenceFactors, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimal-norm solution of a Laplacian system, and the Laplacian's rank.
 
-    Reads the edges off the strict upper triangle (an overflowed diagonal is
-    never read), centres b on each component of their graph, solves by Cholesky
-    with one vertex per component grounded, and centres x on each component.
+    Centres b on each component of the edges' graph, solves by Cholesky with
+    one vertex per component grounded, and centres x on each component.
     """
-    pairs = sparse.triu(matrix, k=1, format="coo")
-    labels, keep, half, factor = _grounded_cholesky(b.size, pairs.row, pairs.col, -pairs.data)
+    labels, keep, half, factor = _grounded_cholesky(b.size, edges.lo, edges.hi, edges.weights)
     b = _centre(b, labels)
     x = np.zeros(labels.size)
     x[keep] = np.ldexp(scipy.linalg.cho_solve((factor, False), b[keep]), -2 * half)
@@ -80,62 +83,62 @@ def _pinv_apply(matrix, b: np.ndarray) -> tuple[np.ndarray, int]:
 def solve_exact(L, b: np.ndarray, profile: SpectralProfile | None = None) -> SolveReport:
     """Minimal 2-norm solution of the full Laplacian system.
 
-    With a spectral profile the pseudoinverse is applied through its factor,
-    x = H (H^T b); otherwise the Laplacian is factorized directly.
+    L is IncidenceFactors or a Laplacian matrix (see _edges). With a spectral
+    profile the pseudoinverse is applied through its factor, x = H (H^T b);
+    otherwise the edges are factorized directly. The residual is ||L x - b||.
     """
-    b = _check_rhs(L, b)
+    factors = _edges(L)
+    b = np.asarray(b, dtype=float)
+    if b.shape != (factors.n,):
+        raise ParameterError(f"right-hand side has shape {b.shape}, expected ({factors.n},)")
+    if not np.all(np.isfinite(b)):
+        raise ParameterError("right-hand side must be finite")
     if profile is None:
-        x, rank = _pinv_apply(L, b)
+        x, rank = _pinv_apply(factors, b)
     else:
         h = profile.pinv_factor
-        if h.shape[0] != L.shape[0]:
-            raise ParameterError(
-                f"profile is for {h.shape[0]} vertices, matrix has {L.shape[0]}"
-            )
+        if h.shape[0] != factors.n:
+            raise ParameterError(f"profile is for {h.shape[0]} vertices, graph has {factors.n}")
         x, rank = h @ (h.T @ b), profile.rank
     return SolveReport(
         x=x,
-        residual_two_norm=float(np.linalg.norm(L @ x - b)),
+        residual_two_norm=float(np.linalg.norm(_laplacian_times(factors, x) - b)),
         null_component=float(abs(x.sum())),
         rank=rank,
     )
 
 
 def solve_sparsified(system, b: np.ndarray) -> SolveReport:
-    """Minimal 2-norm solution of a sampled Laplacian system.
+    """Minimal 2-norm solution of a sampled Laplacian system, from its drawn edges.
 
-    The pseudoinverse is taken at the sampled matrix's own rank, n minus the
+    The pseudoinverse is taken at the sampled system's own rank, n minus the
     number of components of the drawn edges, which falls short of the
     original's when the draw misses a bridge; the report's rank field makes
     that visible.
     """
-    return solve_exact(system.laplacian, b)
+    return solve_exact(system.factors, b)
 
 
-def energy_norm(operator, x: np.ndarray) -> float:
+def energy_norm(L, x: np.ndarray) -> float:
     """The quadratic form x^T L x (a squared quantity, by convention).
 
-    Pass IncidenceFactors to evaluate it as the squared weighted flow norm
-    sum_i w_i (Bx)_i^2, which cannot go negative in floating point; pass a
-    matrix to evaluate the quadratic form directly.
+    L is IncidenceFactors or a Laplacian matrix (see _edges). The form is the
+    squared weighted flow norm sum_i w_i (Bx)_i^2, which cannot go negative.
     """
-    x = np.asarray(x, dtype=float)
-    if isinstance(operator, IncidenceFactors):
-        flow = operator.incidence @ x
-        return float(np.dot(operator.weights, flow * flow))
-    return float(np.dot(x, operator @ x))
+    factors = _edges(L)
+    flow = factors.incidence @ np.asarray(x, dtype=float)
+    return float(np.dot(factors.weights, flow * flow))
 
 
-def _laplacian_times(operator, x: np.ndarray) -> np.ndarray:
-    """L x, from IncidenceFactors as B^T (w * B x) or from a matrix directly."""
-    if isinstance(operator, IncidenceFactors):
-        return operator.incidence.T @ (operator.weights * (operator.incidence @ x))
-    return operator @ x
+def _laplacian_times(factors: IncidenceFactors, x: np.ndarray) -> np.ndarray:
+    """L x as B^T (w * B x)."""
+    return factors.incidence.T @ (factors.weights * (factors.incidence @ x))
 
 
 def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float) -> SolveReport:
     """Score a sparsified solve against the exact one in the energy norm.
 
+    L, the original Laplacian, is IncidenceFactors or a matrix (see _edges).
     When the reference energy is zero (right-hand side entirely in the null
     space) the ratio is undefined and reported as None; the run then counts
     as a success only if the absolute energy error is negligible.
@@ -145,6 +148,7 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
         raise ParameterError(
             f"solutions have shapes {exact.x.shape} and {sparsified.x.shape}"
         )
+    L = _edges(L)
     energy_error = energy_norm(L, exact.x - sparsified.x)
     reference = energy_norm(L, exact.x)
     # x^T L x <= ||x|| ||L x|| (Cauchy-Schwarz): a floor that grows with x as

@@ -155,7 +155,7 @@ def _grounded_factor(
     del a
     if info:
         raise FactorizationError(f"inverting the rank-{rank} triangular factor failed")
-    inverse = np.triu(inverse, 1)  # a's weights sat below the diagonal of L^-T
+    inverse[np.tri(rank, dtype=bool)] = 0.0  # a's weights sat below the diagonal of L^-T
     np.fill_diagonal(inverse, 1.0)
     inverse *= np.ldexp(1.0 / np.sqrt(pivots), -half)
     f = np.zeros((n, rank))

@@ -129,7 +129,7 @@ class TestExitCodes:
         code, out, err = run(capsys, "leverage", "--graph", tri_file)
         assert code == 2
         assert out == ""
-        assert "numerical failure" in err and "condition estimate" in err
+        assert "numerical failure" in err
 
     @pytest.mark.parametrize(
         "bridge, code", [(1.0, 0), (1e-6, 0), (1e-10, 2), (1e-18, 2)]

@@ -113,10 +113,8 @@ class TestNumericalFailure:
             return labels, keep, half, 0.0 * a
 
         monkeypatch.setattr(spectral, "_grounded_weights", zeroed)
-        with pytest.raises(rs.FactorizationError, match="pivot 0 of the rank-3 grounded") as info:
+        with pytest.raises(rs.FactorizationError, match="pivot 0 of the rank-3 grounded"):
             spectral.spectral_profile(rs.incidence_factors(rs.path(4)))
-        assert info.value.condition_estimate == float("inf")
-        assert "condition estimate" in str(info.value)
 
     def test_failing_cholesky_raises(self, monkeypatch):
         factors = rs.incidence_factors(_TRIANGLE)

@@ -145,6 +145,15 @@ class TestCmdSolve:
         assert isinstance(out["sparsified"]["success"], bool)
         assert len(out["exact"]["x"]) == 3
 
+    def test_heavy_star_reports_finite_residuals(self, graph_file):
+        # the hub's weighted degree, 5 * 5e307, overflows; the residuals read
+        # the edges, so neither solve's residual goes to inf (null in the report)
+        star = rs.WeightedGraph(6, [(leaf, 5, 5e307) for leaf in range(5)])
+        results = rs.run_report(cfg_for(graph_file(star), mode="solve", seed=3))["results"]
+        for solve in ("exact", "sparsified"):
+            residual = results[solve]["residual_two_norm"]
+            assert residual is not None and residual <= 1e-12
+
     def test_rhs_from_file(self, graph_file, triangle, tmp_path):
         b_path = tmp_path / "b.txt"
         rs.save_vector(np.array([1.0, 0.0, -1.0]), b_path)

@@ -317,8 +317,17 @@ class TestConcentrationCheck:
             # the Laplacian's assembled rows cancel across a faint bridge:
             # summed that way, this deviation is 1.5e-5 off
             (bridged_triangles(1e-10), 5000),
+            # parallel edges in both endpoint orders, read one by one, not summed
+            (
+                rs.WeightedGraph(
+                    5,
+                    [(0, 1, 1.0), (1, 0, 2.5), (1, 2, 0.3), (2, 1, 4.0), (2, 3, 1.0),
+                     (3, 4, 2.0), (4, 0, 0.7), (0, 4, 1.5), (1, 3, 3.0)],
+                ),
+                400,
+            ),
         ],
-        ids=["random", "faint-bridge"],
+        ids=["random", "faint-bridge", "multigraph"],
     )
     def test_matches_oracle_gram(self, g, r):
         # the deviation is that of the edges and rescalings the sparsifier
@@ -329,6 +338,12 @@ class TestConcentrationCheck:
         eigs = np.linalg.eigvalsh(rows.T @ (rows * scale[:, None]))
         expected = float(np.max(np.abs(eigs - 1.0)))
         assert rs.concentration_check(prof, system) == pytest.approx(expected, rel=1e-12)
+        # the sparsified solve reads the drawn edges; their assembled matrix agrees
+        b = np.random.default_rng(8).standard_normal(g.n)
+        via_edges = rs.solve_sparsified(system, b).x
+        via_matrix = rs.solve_exact(system.laplacian, b).x
+        scale = np.abs(via_matrix).max()
+        np.testing.assert_allclose(via_edges, via_matrix, rtol=0, atol=1e-12 * scale)
 
     @pytest.mark.parametrize(
         "g, probabilities",

@@ -38,9 +38,18 @@ class TestSolveExact:
             g = rs.random_connected(11, rng)
             L = rs.laplacian_of(g)
             b = rng.standard_normal(g.n)
+            profile = profile_of(g)
             direct = rs.solve_exact(L, b)
-            routed = rs.solve_exact(L, b, profile=profile_of(g))
+            routed = rs.solve_exact(L, b, profile=profile)
             np.testing.assert_allclose(routed.x, direct.x, atol=1e-9)
+            # the factors and the assembled matrix are the same operand
+            factors = rs.incidence_factors(g)
+            for via_matrix, prof in ((direct, None), (routed, profile)):
+                via_edges = rs.solve_exact(factors, b, profile=prof)
+                np.testing.assert_array_equal(via_edges.x, via_matrix.x)
+                assert via_edges.residual_two_norm == pytest.approx(
+                    via_matrix.residual_two_norm, rel=1e-12, abs=1e-14
+                )
 
     def test_matches_eigendecomposition_oracle(self):
         rng = np.random.default_rng(15)
