@@ -15,6 +15,7 @@ overflowed diagonal is never read.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +136,18 @@ def _laplacian_times(factors: IncidenceFactors, x: np.ndarray) -> np.ndarray:
     return factors.incidence.T @ (factors.weights * (factors.incidence @ x))
 
 
+def _scaled_energy(weights: np.ndarray, flow: np.ndarray) -> tuple[float, int]:
+    """sum_i weights_i flow_i^2 as (e, k), the energy being e * 2**k.
+
+    The flow is first scaled by the power of two that brings its largest
+    entry into [0.5, 1), so no square underflows when the flows near the
+    bottom of the float range; the scaling is exact.
+    """
+    _, half = math.frexp(float(np.max(np.abs(flow), initial=0.0)))
+    flow = np.ldexp(flow, -half)
+    return float(np.dot(weights, flow * flow)), 2 * half
+
+
 def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float) -> SolveReport:
     """Score a sparsified solve against the exact one in the energy norm.
 
@@ -142,6 +155,14 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
     When the reference energy is zero (right-hand side entirely in the null
     space) the ratio is undefined and reported as None; the run then counts
     as a success only if the absolute energy error is negligible.
+
+    The energies are summed with the weights divided by 2**a, the power of
+    two that brings the largest into [1, 2), and each flow scaled likewise,
+    so both stay representable, and their ratio defined, however far the
+    weights push x toward the ends of the float range. The zero test reads
+    that weight-scaled system, so it is the same for weights scaled by any
+    power of two and, for a = 0, the unscaled test. The scalings are exact:
+    where nothing under- or overflows the figures equal the unscaled sums.
     """
     check(epsilon=epsilon)
     if exact.x.shape != sparsified.x.shape:
@@ -149,16 +170,20 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
             f"solutions have shapes {exact.x.shape} and {sparsified.x.shape}"
         )
     L = _edges(L)
-    energy_error = energy_norm(L, exact.x - sparsified.x)
-    reference = energy_norm(L, exact.x)
+    a = math.frexp(float(np.max(L.weights, initial=0.0)))[1] - 1
+    weights = np.ldexp(L.weights, -a)
+    error, k_error = _scaled_energy(weights, L.incidence @ (exact.x - sparsified.x))
+    reference, k_reference = _scaled_energy(weights, L.incidence @ exact.x)
+    energy_error = math.ldexp(error, a + k_error)
     # x^T L x <= ||x|| ||L x|| (Cauchy-Schwarz): a floor that grows with x as
-    # the energy does, where ||x||^2 would outgrow it across a faint bridge
+    # the energy does, where ||x||^2 would outgrow it across a faint bridge;
+    # both sides are those of the weight-scaled system, x 2**a and L 2**-a
     bound = np.linalg.norm(exact.x) * np.linalg.norm(_laplacian_times(L, exact.x))
-    floor = _NULL_ENERGY_FLOOR * max(1.0, float(bound))
-    if reference <= floor:
+    floor = _NULL_ENERGY_FLOOR * max(1.0, math.ldexp(float(bound), a))
+    if math.ldexp(reference, k_reference + 2 * a) <= floor:
         relative, success = None, energy_error <= _NULL_ENERGY_SUCCESS
     else:
-        relative = energy_error / reference
+        relative = math.ldexp(error / reference, k_error - k_reference)
         success = relative <= epsilon
     return dataclasses.replace(
         sparsified,

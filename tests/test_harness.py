@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,6 +154,24 @@ class TestCmdSolve:
         for solve in ("exact", "sparsified"):
             residual = results[solve]["residual_two_norm"]
             assert residual is not None and residual <= 1e-12
+
+    def test_heavy_star_reports_the_energy_ratio(self, graph_file):
+        # x is about 1e-308 here, so both energies underflow unless the flows
+        # and weights are scaled; the ratio is checked against exact rationals
+        star = rs.WeightedGraph(6, [(leaf, 5, 5e307) for leaf in range(5)])
+        results = rs.run_report(cfg_for(graph_file(star), mode="solve", seed=3))["results"]
+        x = [Fraction(v) for v in results["exact"]["x"]]
+        y = [Fraction(v) for v in results["sparsified"]["x"]]
+
+        def energy(d):
+            return sum(Fraction(5e307) * (d[leaf] - d[5]) ** 2 for leaf in range(5))
+
+        error = energy([a - b for a, b in zip(x, y)])
+        ratio = error / energy(x)
+        scored = results["sparsified"]
+        assert scored["relative_energy_error"] == pytest.approx(float(ratio), rel=1e-12, abs=0)
+        assert scored["energy_error"] == pytest.approx(float(error), rel=1e-12, abs=0)
+        assert scored["success"] is (ratio <= Fraction(0.5))
 
     def test_rhs_from_file(self, graph_file, triangle, tmp_path):
         b_path = tmp_path / "b.txt"

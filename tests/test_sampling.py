@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import resist_sketch as rs
 from resist_sketch import sampling
@@ -367,3 +368,107 @@ class TestConcentrationCheck:
         _, _, system = sparsified(triangle)
         with pytest.raises(rs.ParameterError, match="vertices"):
             rs.concentration_check(prof, system)
+
+
+def two_blocks(bridge: float, seed: int = 7) -> rs.WeightedGraph:
+    """Two random 150-vertex blocks joined by one edge of weight ``bridge``, the last edge."""
+    rng = np.random.default_rng(seed)
+    a, b = (rs.random_connected(150, rng, extra_edge_prob=0.05) for _ in range(2))
+    shifted = [(u + 150, v + 150, w) for u, v, w in b.edges]
+    return rs.WeightedGraph(300, list(a.edges) + shifted + [(7, 150 + 11, bridge)])
+
+
+def oracle_deviation(g, system) -> float:
+    """max |lambda - 1| of the sampled Gram matrix on an independent orthonormal basis."""
+    rows = orthonormal_basis(g)[system.edges]
+    scale = system.weights / g.weights()[system.edges]
+    return float(np.max(np.abs(np.linalg.eigvalsh(rows.T @ (rows * scale[:, None])) - 1.0)))
+
+
+def eigvalsh_deviation(prof, system) -> float:
+    """The full-eigendecomposition deviation of H^T L' H, L' H scaled in its own pass."""
+    h, drawn = prof.pinv_factor, system.factors
+    scaled = (drawn.incidence @ h) * drawn.weights[:, None]
+    gram = h.T @ (drawn.incidence.T @ scaled)
+    return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (gram + gram.T)) - 1.0)))
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Record the shape of every matrix concentration_check hands to eigsh."""
+    calls, real = [], sampling.eigsh
+
+    def spy(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(sampling, "eigsh", spy)
+    return calls
+
+
+class TestLanczosDeviation:
+    """Gram ranks at or above the Lanczos threshold, where ARPACK finds the deviation."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            rs.random_connected(300, np.random.default_rng(3), extra_edge_prob=0.02),
+            # the assembled rows of L' would cancel across this bridge
+            two_blocks(1e-10),
+        ],
+        ids=["random", "faint-bridge"],
+    )
+    def test_matches_oracle_gram(self, g, eigsh_calls):
+        prof, _, system = sparsified(g, r=20000, seed=5)
+        assert prof.rank >= sampling._LANCZOS_RANK
+        expected = oracle_deviation(g, system)
+        assert expected < 1.0  # the draw spans the graph, the bridge included
+        assert rs.concentration_check(prof, system) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert eigsh_calls == [(prof.rank, prof.rank)]
+
+    @staticmethod
+    def missed_bridge():
+        """Profile and sparsifier of a draw on two_blocks(1.0) that never takes the bridge."""
+        g = two_blocks(1.0)
+        leverage = rs.leverage_probabilities(rs.spectral_profile(rs.incidence_factors(g)))
+        probabilities = np.r_[leverage[:-1], 0.0] / leverage[:-1].sum()
+        prof, _, system = sparsified(g, probabilities, r=50000, seed=3)
+        return prof, system
+
+    def test_missed_bridge_deviation_one(self, eigsh_calls):
+        prof, system = self.missed_bridge()
+        assert rs.concentration_check(prof, system) == pytest.approx(1.0, abs=1e-12)
+        assert len(eigsh_calls) == 1
+
+    def test_repeat_calls_bit_identical(self):
+        prof, _, system = sparsified(two_blocks(1e-3), r=20000, seed=9)
+        assert rs.concentration_check(prof, system) == rs.concentration_check(prof, system)
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0))),
+            ArpackError(-9),
+        ],
+        ids=["no-convergence", "arpack-error"],
+    )
+    def test_arpack_failure_falls_back_to_eigvalsh(self, monkeypatch, error):
+        # one diagonal entry of this Gram matrix is 0.115, where (g - 1) + 1 != g:
+        # the fallback must restore the diagonal the Lanczos path shifted
+        prof, system = self.missed_bridge()
+        raised = []
+
+        def fail(*args, **kwargs):
+            raised.append(error)
+            raise error
+
+        monkeypatch.setattr(sampling, "eigsh", fail)
+        assert rs.concentration_check(prof, system) == eigvalsh_deviation(prof, system)
+        assert raised == [error]
+
+    def test_below_threshold_is_eigvalsh_bit_for_bit(self, eigsh_calls):
+        g = rs.random_connected(12, np.random.default_rng(5), extra_edge_prob=0.4)
+        prof, _, system = sparsified(g, r=150, seed=31)
+        assert prof.rank < sampling._LANCZOS_RANK
+        assert rs.concentration_check(prof, system) == eigvalsh_deviation(prof, system)
+        assert eigsh_calls == []
