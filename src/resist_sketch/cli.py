@@ -96,11 +96,37 @@ def cli() -> None:
     """Leverage-score edge sampling for Laplacian least-squares problems."""
 
 
+def _dumps(value, level: int = 0) -> str:
+    """json.dumps(value, indent=2, allow_nan=False), byte for byte, but faster.
+
+    With an indent the standard library encodes in pure Python. Here each
+    non-empty list of plain ints and floats goes through the C encoder in
+    one call, its item separator carrying the line break and indent, and
+    dicts with string keys and other lists are laid out around it the way
+    the indented encoder lays them out. Anything else is json.dumps's own
+    text, re-indented: JSON strings never hold a raw line break.
+    """
+    pad = "\n" + "  " * level
+    inner = pad + "  "
+    if type(value) is list and value:
+        if {float, int}.issuperset(map(type, value)):
+            items = json.dumps(value, separators=("," + inner, ":"), allow_nan=False)[1:-1]
+        else:
+            items = ("," + inner).join(_dumps(x, level + 1) for x in value)
+        return "[" + inner + items + pad + "]"
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        items = ("," + inner).join(
+            json.dumps(k) + ": " + _dumps(v, level + 1) for k, v in value.items()
+        )
+        return "{" + inner + items + pad + "}"
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", pad)
+
+
 def _add_subcommand(mode: str, command) -> None:
     def execute(out_path: str | None, **kwargs) -> None:
         report = run_report(RunConfig(mode=mode, **kwargs))
         with click.open_file(out_path or "-", "w", encoding="utf-8") as out:
-            click.echo(json.dumps(report, indent=2, allow_nan=False), file=out)
+            click.echo(_dumps(report), file=out)
 
     summary = command.__doc__.partition("\n")[0]
     cli.command(name=mode, help=summary)(_pipeline_options(execute))

@@ -192,11 +192,11 @@ def _components(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.
     return labels, keep
 
 
-def _centre(v: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """v minus the mean of its rows over each component (labels from _components)."""
+def _centre(v: np.ndarray, labels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """v minus the mean of its rows over each component (labels from _components), into out."""
     member = sparse.csr_matrix((np.ones(labels.size), (labels, np.arange(labels.size))))
     sizes = np.bincount(labels).reshape((-1,) + (1,) * (v.ndim - 1))
-    return v - (member @ v / sizes)[labels]
+    return np.subtract(v, (member @ v / sizes)[labels], out=out)
 
 
 def component_count(g: WeightedGraph) -> int:

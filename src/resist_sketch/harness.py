@@ -219,7 +219,7 @@ def cmd_sparsify(cfg: RunConfig) -> dict[str, Any]:
         "r_source": source,
         "off_theorem": source == "override",
         "distinct_edges": system.distinct_edges,
-        "nnz": system.laplacian.nnz,
+        "nnz": system.nnz,
         "deviation": deviation,
         "concentration_bound": math.sqrt(cfg.epsilon) / 2.0,
     }
@@ -253,7 +253,7 @@ def cmd_solve(cfg: RunConfig) -> dict[str, Any]:
         "sparsified": dataclasses.asdict(scored),
         "sparsifier": {
             "distinct_edges": system.distinct_edges,
-            "nnz": system.laplacian.nnz,
+            "nnz": system.nnz,
         },
         "timings": {
             "analyze": t_analyze - t0,
@@ -299,7 +299,7 @@ def cmd_verify(cfg: RunConfig) -> VerifyReport:
                 "deviation": deviation,
                 "deviation_within_bound": bool(deviation <= bound),
                 "distinct_edges": system.distinct_edges,
-                "nnz": system.laplacian.nnz,
+                "nnz": system.nnz,
                 "rank": scored.rank,
             }
         )

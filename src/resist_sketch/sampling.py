@@ -12,6 +12,7 @@ ever materialized, so memory does not grow with r.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,12 +75,13 @@ class SparsifiedSystem:
     edges       indices of the drawn edges, ascending
     factors     IncidenceFactors of the drawn edges, in that order, weighted
                 w_i c_i / (r p_i), c_i the edge's draw count; weights reads them
-    laplacian   n x n sparse symmetric Laplacian of the reweighted edges
+    laplacian   n x n sparse symmetric Laplacian of the reweighted edges,
+                assembled on first read; nothing in the pipeline reads it
+    nnz         its stored entries, counted from the edges without assembling it
     """
 
     edges: np.ndarray
     factors: IncidenceFactors
-    laplacian: sparse.csr_matrix
 
     @property
     def weights(self) -> np.ndarray:
@@ -88,6 +90,20 @@ class SparsifiedSystem:
     @property
     def distinct_edges(self) -> int:
         return int(self.edges.size)
+
+    @functools.cached_property
+    def laplacian(self) -> sparse.csr_matrix:
+        drawn = self.factors
+        return _assemble_laplacian(drawn.n, drawn.lo, drawn.hi, drawn.weights)
+
+    @property
+    def nnz(self) -> int:
+        # the assembly stores a degree for each vertex an edge touches and both
+        # entries of each distinct vertex pair, every drawn weight being positive
+        lo, hi, n = self.factors.lo, self.factors.hi, self.factors.n
+        vertices = np.count_nonzero(np.bincount(np.concatenate((lo, hi)), minlength=n))
+        pairs = np.count_nonzero(np.diff(np.sort(lo * n + hi), prepend=-1))
+        return vertices + 2 * pairs
 
 
 def sample_count(n: int, epsilon: float, beta: float = 1.0, c0: float = 1.0) -> int:
@@ -127,7 +143,7 @@ def draw_counts(plan: SamplingPlan) -> np.ndarray:
 
 
 def build_sparsifier(factors: IncidenceFactors, plan: SamplingPlan) -> SparsifiedSystem:
-    """Keep the drawn edges, reweighted, and assemble their Laplacian.
+    """Keep the drawn edges, reweighted.
 
     Edge i drawn c_i times contributes c_i w_i b_i b_i^T / (r p_i), i.e. one
     edge of weight w_i c_i / (r p_i). The counts come from draw_counts(plan).
@@ -143,9 +159,8 @@ def build_sparsifier(factors: IncidenceFactors, plan: SamplingPlan) -> Sparsifie
         raise RuntimeError("drew an edge with zero probability")
     weights = factors.weights[hit] * (counts[hit] / (plan.r * p))
     drawn = _edge_factors(factors.n, factors.lo[hit], factors.hi[hit], weights)
-    lap = _assemble_laplacian(drawn.n, drawn.lo, drawn.hi, weights)
     hit.setflags(write=False)
-    return SparsifiedSystem(edges=hit, factors=drawn, laplacian=lap)
+    return SparsifiedSystem(edges=hit, factors=drawn)
 
 
 def concentration_check(profile: SpectralProfile, system: SparsifiedSystem) -> float:

@@ -77,7 +77,7 @@ def _pinv_apply(edges: IncidenceFactors, b: np.ndarray) -> tuple[np.ndarray, int
     labels, keep, half, factor = _grounded_cholesky(b.size, edges.lo, edges.hi, edges.weights)
     b = _centre(b, labels)
     x = np.zeros(labels.size)
-    x[keep] = np.ldexp(scipy.linalg.cho_solve((factor, False), b[keep]), -2 * half)
+    x[keep] = np.ldexp(scipy.linalg.cho_solve((factor, True), b[keep]), -2 * half)
     return _centre(x, labels), int(np.count_nonzero(keep))
 
 

@@ -59,6 +59,7 @@ def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
     and each step adds nonnegative fill, so nothing is ever subtracted and the
     factors are accurate entrywise at any weight span. With F = L^-T D^-1/2
     (zero rows at the grounds), edge (u, v) has resistance ||F[u] - F[v]||^2.
+    F is upper triangular, so that sum starts at the smaller of the two rows.
     A pivot that underflows to zero, or scores that miss Foster's sum (the
     rank) by over 1e-8 * rank, as when a resistance overflows, mean the
     weights span past float64: FactorizationError.
@@ -66,21 +67,28 @@ def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
     if factors.m < 1:
         raise ParameterError("graph has no edges")
     with np.errstate(all="ignore"):
-        labels, keep, f = _grounded_factor(factors.n, factors.lo, factors.hi, factors.weights)
+        labels, at, f = _grounded_factor(factors.n, factors.lo, factors.hi, factors.weights)
         rank = f.shape[1]
+        u, v = at[factors.lo], at[factors.hi]
+        first = np.minimum(u, v)  # row u of F is zero left of column u, the grounds' row everywhere
+        order = np.argsort(first)
         resistance = np.empty(factors.m)
-        step = max(1, _EDGE_CHUNK_BYTES // (8 * max(rank, 1)))
-        for at in range(0, factors.m, step):
-            edges = slice(at, at + step)
-            diffs = f[factors.lo[edges]] - f[factors.hi[edges]]
+        start = 0
+        while start < factors.m:
+            c = first[order[start]]
+            edges = order[start : start + max(1, _EDGE_CHUNK_BYTES // (8 * (rank - c)))]
+            diffs = f[u[edges], c:] - f[v[edges], c:]
             resistance[edges] = np.einsum("ij,ij->i", diffs, diffs)
+            start += edges.size
         leverage = factors.weights * resistance
         total = float(leverage.sum())
     if not abs(total - rank) <= 1e-8 * rank:  # Foster: leverage sums to the rank
         raise FactorizationError(
             f"leverage scores sum to {total!r}, not the rank {rank}: weights span too far"
         )
-    pinv_factor = _centre(f, labels)
+    pinv_factor = f[at]
+    del f  # freed before the centring allocates its temporary
+    _centre(pinv_factor, labels, out=pinv_factor)
     for arr in (leverage, resistance, pinv_factor):
         arr.setflags(write=False)
     return SpectralProfile(
@@ -93,94 +101,105 @@ def _grounded_weights(
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Ground one vertex per component and scale the weights; nothing else does either.
 
-    Returns the labels and non-grounds of ``_components``, h, and the dense
-    rank x (rank + 1) weights a, each times 2**(-2h), which centres their span
-    on 1: exact, and no weighted degree can overflow. a[i, j] sums the edges
-    between the i-th and j-th non-grounds (zero diagonal), a[i, rank] those to
-    the grounds. Each consumer undoes the scaling on its result with one ldexp.
+    Returns the labels of ``_components``, the row map at (the i-th non-ground
+    to i, every ground to rank), h, and the dense (rank + 1) x rank weights a,
+    each times 2**(-2h), which centres their span on 1: exact, and no weighted
+    degree can overflow. For i < j < rank, a[i, j] sums the edges between the
+    i-th and j-th non-grounds and a[rank, j] those from the j-th to the
+    grounds; the rest of a is zero. Each consumer undoes the scaling on its
+    result with one ldexp.
     """
     labels, keep = _components(n, lo, hi)
     rank = int(np.count_nonzero(keep))
     half = round((math.log2(weights.max()) + math.log2(weights.min())) / 4) if weights.size else 0
-    at = np.where(keep, np.cumsum(keep) - 1, rank)  # every ground maps to column rank
-    u, v, w = at[lo], at[hi], np.ldexp(weights, -2 * half)
-    size = (rank + 1) ** 2
-    both = np.bincount(u * (rank + 1) + v, w, size) + np.bincount(v * (rank + 1) + u, w, size)
-    return labels, keep, half, both.reshape(rank + 1, rank + 1)[:rank]
+    at = np.where(keep, np.cumsum(keep) - 1, rank)
+    # hi is never a ground (each component's is its first vertex), so at[lo] < at[hi]
+    # or lo is a ground, whose weights land in row rank
+    flat = np.bincount(at[lo] * rank + at[hi], np.ldexp(weights, -2 * half), (rank + 1) * rank)
+    return labels, at, half, flat.reshape(rank + 1, rank)
 
 
 def _grounded_factor(
     n: int, lo: np.ndarray, hi: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels, non-grounds and F = L^-T D^-1/2 of the grounded Laplacian L D L^T.
+    """Labels, row map and F = L^-T D^-1/2 of the grounded Laplacian L D L^T.
 
-    F has zero rows at the grounds. The array a of ``_grounded_weights`` is
-    eliminated in place and freed before F is formed; the weights' scaling by
-    2**(-2h) is undone on F, times 2**-h. Vertices are eliminated in panels of
-    _PANEL. Within a panel, each vertex's weight to everything outside it (the
-    grounds included) is one running sum. After it, L_KK holds the panel's
-    factor, Z = L_KK^-1 a[K, R+g] >= 0 for the rest R and the grounds g, and
-    a[R, R+g] gains Z_R^T D_K^-1 Z, one GEMM, while L_RK = -Z_R^T D_K^-1.
-    Every off-diagonal entry of L is <= 0, so each triangular solve and
-    product sums terms of one sign. L is stored in place, below the diagonal
-    of a; only a's upper triangle holds current weights.
+    Left-looking, upper triangle only: the array a of ``_grounded_weights``
+    becomes the unit upper L^T in place, and then F, by LAPACK dtrtri and a
+    column scaling that also undoes the weights' 2**(-2h) on F, times 2**-h;
+    row rank is zeroed for the grounds, so row at[v] is vertex v's.
+    Vertices are eliminated in panels of _PANEL. A finished panel J has left
+    Y_J = -D_J^-1 Z_J <= 0 in its rows of a right of itself and in row rank
+    (the grounds), Z_J = L_JJ^-1 a[J, J+] >= 0 its Schur rows. Before panel
+    K, one GEMM, a[K, K+] += (Y^T D) Y over every earlier row, gives it its
+    current weights; nothing right of K is written before its turn, and no
+    lower triangle at all. Within the panel, each vertex's weight to
+    everything outside it (the grounds included) is one extra column of the
+    panel's array p, so each vertex costs one sum and one rank-1 update.
+    Every off-diagonal entry of L is <= 0, so each product and triangular
+    solve sums terms of one sign.
     """
-    labels, keep, half, a = _grounded_weights(n, lo, hi, weights)
-    rank = a.shape[0]
+    labels, at, half, a = _grounded_weights(n, lo, hi, weights)
+    rank = a.shape[1]
+    ground = a[rank]
     pivots = np.empty(rank)
     for k0 in range(0, rank, _PANEL):
         k1 = min(k0 + _PANEL, rank)
-        panel = a[k0:k1, k0:k1]
-        outside = a[k0:k1, k1:].sum(axis=1)
+        earlier = a[:k0, k0:k1].T * pivots[:k0]
+        a[k0:k1, k0:] += earlier @ a[:k0, k0:]
+        ground[k0:k1] += earlier @ ground[:k0]
+        p = np.empty((k1 - k0, k1 - k0 + 1))
+        p[:, :-1] = a[k0:k1, k0:k1]
+        p[:, -1] = a[k0:k1, k1:].sum(axis=1) + ground[k0:k1]
         for k in range(k1 - k0):
-            row = panel[k, k + 1 :]
-            pivot = pivots[k0 + k] = outside[k] + row.sum()
-            ratio = row / pivot
-            panel[k + 1 :, k + 1 :] += np.outer(row, ratio)
-            outside[k + 1 :] += row * (outside[k] / pivot)
-            panel[k + 1 :, k] = -ratio
-        z = scipy.linalg.solve_triangular(
-            panel, a[k0:k1, k1:], lower=True, unit_diagonal=True, check_finite=False
-        )
-        a[k1:, k0:k1] = -(z[:, : rank - k1] / pivots[k0:k1, None]).T
-        a[k1:, k1:] -= a[k1:, k0:k1] @ z
+            row = p[k, k + 1 :]
+            pivot = pivots[k0 + k] = row.sum()
+            p[k + 1 :, k + 1 :] += row[:-1, None] * (row / pivot)
+        # row k of p still holds the weights it was eliminated with
+        block = np.triu(p[:, :-1], 1) / -pivots[k0:k1, None]
+        np.fill_diagonal(block, 1.0)
+        a[k0:k1, k0:k1] = block
+        z = np.empty((k1 - k0, rank + 1 - k1))
+        z[:, :-1] = a[k0:k1, k1:]
+        z[:, -1] = ground[k0:k1]
+        # Z = L_KK^-1 z in place, as Z^T = z^T L_KK^-T: both transposes are Fortran-ordered
+        scipy.linalg.blas.dtrsm(1.0, block.T, z.T, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1)
+        np.divide(z[:, :-1], -pivots[k0:k1, None], out=a[k0:k1, k1:])
+        ground[k0:k1] = z[:, -1] / -pivots[k0:k1]
     bad = np.flatnonzero(~(np.isfinite(pivots) & (pivots > 0.0)))
     if bad.size:
         raise FactorizationError(
             f"pivot {int(bad[0])} of the rank-{rank} grounded Laplacian is "
             f"{float(pivots[bad[0]])!r}: weights span too far"
         )
-    # L^T, upper and unit, is a's lower triangle read in Fortran order
-    inverse, info = scipy.linalg.lapack.dtrtri(a[:, :rank].T, lower=0, unitdiag=1)
-    del a
+    ground[:] = 0.0  # row rank becomes the grounds' zero row of F
+    # L^T, upper, is a[:rank]; its transpose is lower and Fortran-ordered, inverted in place
+    _, info = scipy.linalg.lapack.dtrtri(a[:rank].T, lower=1, unitdiag=1, overwrite_c=1)
     if info:
         raise FactorizationError(f"inverting the rank-{rank} triangular factor failed")
-    inverse[np.tri(rank, dtype=bool)] = 0.0  # a's weights sat below the diagonal of L^-T
-    np.fill_diagonal(inverse, 1.0)
-    inverse *= np.ldexp(1.0 / np.sqrt(pivots), -half)
-    f = np.zeros((n, rank))
-    f[keep] = inverse
-    return labels, keep, f
+    a *= np.ldexp(1.0 / np.sqrt(pivots), -half)
+    return labels, at, a
 
 
 def _grounded_cholesky(
     n: int, lo: np.ndarray, hi: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Upper Cholesky factor U of the grounded Laplacian of ``_grounded_weights``.
+    """Lower Cholesky factor C of the grounded Laplacian of ``_grounded_weights``.
 
-    Returns that call's labels, non-grounds and h, and U, Fortran-ordered and
-    upper: U^T U is the edges' Laplacian times 2**(-2h) on the non-grounds,
-    with a's row sums on its diagonal; the caller undoes the scaling. A failed
-    or non-finite factor raises FactorizationError.
+    Returns that call's labels, the non-grounds, h, and C, Fortran-ordered
+    and lower: C C^T is the edges' Laplacian times 2**(-2h) on the
+    non-grounds, with the weighted degrees on its diagonal; the caller undoes
+    the scaling. A failed or non-finite factor raises FactorizationError.
     """
-    labels, keep, half, a = _grounded_weights(n, lo, hi, weights)
-    rank = a.shape[0]
-    grounded = -a[:, :rank].T  # symmetric: the transpose is the Fortran-ordered copy
-    np.fill_diagonal(grounded, a.sum(axis=1))
-    factor, info = scipy.linalg.lapack.dpotrf(grounded, overwrite_a=1)
+    labels, at, half, a = _grounded_weights(n, lo, hi, weights)
+    rank = a.shape[1]
+    upper = a[:rank]
+    grounded = -upper.T  # Fortran-ordered; its lower triangle holds the edges
+    np.fill_diagonal(grounded, upper.sum(axis=1) + upper.sum(axis=0) + a[rank])
+    factor, info = scipy.linalg.lapack.dpotrf(grounded, lower=1, overwrite_a=1)
     if info or not np.all(np.isfinite(factor.diagonal())):
         raise FactorizationError(f"Cholesky of the {rank}x{rank} grounded system matrix failed")
-    return labels, keep, half, factor
+    return labels, at < rank, half, factor
 
 
 def effective_resistances(g: WeightedGraph | IncidenceFactors) -> np.ndarray:
@@ -200,16 +219,16 @@ def effective_resistances(g: WeightedGraph | IncidenceFactors) -> np.ndarray:
         return np.zeros(0)
     lo, hi = factors.lo, factors.hi
     _, keep, half, factor = _grounded_cholesky(factors.n, lo, hi, factors.weights)
-    inverse, info = scipy.linalg.lapack.dpotri(factor, overwrite_c=1)
+    inverse, info = scipy.linalg.lapack.dpotri(factor, lower=1, overwrite_c=1)
     if info:
         k = inverse.shape[0]
         raise FactorizationError(f"inverting the {k}x{k} grounded Laplacian failed")
-    # hi > lo is never a ground (each component's first vertex is), so X[lo, hi]
-    # sits in the upper triangle dpotri returns; when lo is a ground, X[lo] is zero
+    # hi > lo is never a ground (each component's first vertex is), so X[hi, lo]
+    # sits in the lower triangle dpotri returns; when lo is a ground, X[lo] is zero
     at = np.cumsum(keep) - 1
     a, b = at[lo], at[hi]
     diag = inverse.diagonal()
-    scaled = np.where(keep[lo], diag[a] - 2.0 * inverse[a, b], 0.0) + diag[b]
+    scaled = np.where(keep[lo], diag[a] - 2.0 * inverse[b, a], 0.0) + diag[b]
     return np.ldexp(scaled, -2 * half)
 
 

@@ -6,7 +6,7 @@ import scipy.linalg
 
 import conftest
 import resist_sketch as rs
-from resist_sketch.cli import main
+from resist_sketch.cli import _dumps, main
 
 
 @pytest.fixture
@@ -269,3 +269,42 @@ def test_r_override_beyond_int64_rejected(tri_file, capsys):
     )
     assert code == 1
     assert "2**63" in err
+
+
+@pytest.mark.parametrize("mode", rs.harness.MODES)
+def test_report_text_is_the_indented_encoders(tri_file, mode):
+    # one verify trial leaves std_error NaN, reported as null
+    report = rs.run_report(rs.RunConfig(graph_path=tri_file, mode=mode, trials=1, seed=3))
+    assert _dumps(report) == json.dumps(report, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {
+            "null": None,
+            "empty": [],
+            "no keys": {},
+            "nested": [[1.0, 2], [], [[0.5, -0.0]], [None, 1.0], [True, 1]],
+            "deep": {"a": {"b": [1e-300, 1.7e308, 10**30, -3]}},
+            "text": "é\n\"",
+            "tuple": (1, 2.5),
+            "records": [{"trial": 0, "ok": False}, {}],
+        },
+        {1: [2.0], "1": None},
+        [],
+        [[]],
+        [1.5],
+        None,
+        "plain",
+        0.1,
+    ],
+)
+def test_report_text_edge_cases(value):
+    assert _dumps(value) == json.dumps(value, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [[float("nan")], {"a": [1.0, float("inf")]}, {"a": -float("inf")}])
+def test_report_text_refuses_non_finite(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _dumps(value)

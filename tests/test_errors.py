@@ -109,8 +109,8 @@ class TestNumericalFailure:
         weights = spectral._grounded_weights
 
         def zeroed(*args):
-            labels, keep, half, a = weights(*args)
-            return labels, keep, half, 0.0 * a
+            labels, at, half, a = weights(*args)
+            return labels, at, half, 0.0 * a
 
         monkeypatch.setattr(spectral, "_grounded_weights", zeroed)
         with pytest.raises(rs.FactorizationError, match="pivot 0 of the rank-3 grounded"):

@@ -270,7 +270,29 @@ class TestBuildSparsifier:
         assert np.linalg.eigvalsh(lap).min() >= -1e-10 * scale
         assert system.distinct_edges <= min(r, g.m)
         assert system.laplacian.nnz <= g.n + 2 * r
+        assert system.nnz == system.laplacian.nnz
         assert counts.sum() == r
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # isolated vertices 2 and 6, parallel edges given in both endpoint orders
+            rs.WeightedGraph(
+                7, [(0, 1, 1.0), (1, 0, 2.5), (3, 4, 0.5), (4, 3, 0.5), (5, 4, 3.0), (0, 1, 1e-3)]
+            ),
+            rs.WeightedGraph(
+                5,
+                [(0, 1, 1.0), (1, 0, 2.5), (1, 2, 0.3), (2, 1, 4.0), (2, 3, 1.0),
+                 (3, 4, 2.0), (4, 0, 0.7), (0, 4, 1.5), (1, 3, 3.0)],
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("r", [1, 4, 500])
+    def test_nnz_without_assembly(self, g, r):
+        system = rs.build_sparsifier(rs.incidence_factors(g), plan_for(g, r=r, seed=r))
+        nnz = system.nnz
+        assert "laplacian" not in vars(system)  # counted from the edges, not assembled
+        assert nnz == system.laplacian.nnz
 
     def test_unbiased_mean(self, triangle):
         # trial mean over 500 draws at r=1000 lands entrywise within 0.05
@@ -338,7 +360,7 @@ class TestConcentrationCheck:
         scale = system.weights / g.weights()[system.edges]
         eigs = np.linalg.eigvalsh(rows.T @ (rows * scale[:, None]))
         expected = float(np.max(np.abs(eigs - 1.0)))
-        assert rs.concentration_check(prof, system) == pytest.approx(expected, rel=1e-12)
+        assert rs.concentration_check(prof, system) == pytest.approx(expected, rel=1e-12, abs=0)
         # the sparsified solve reads the drawn edges; their assembled matrix agrees
         b = np.random.default_rng(8).standard_normal(g.n)
         via_edges = rs.solve_sparsified(system, b).x

@@ -108,6 +108,24 @@ def _three_components():
     return rs.WeightedGraph(17, list(a.edges) + [(u + 10, v + 10, w) for u, v, w in b.edges])
 
 
+def _interleaved_components(seed, span=8):
+    """n=70, rank 68 > 2 * _PANEL: connected graphs on the even and on the odd vertices.
+
+    Weights are log-uniform over 10**[-span, span], rounded to 8 significant
+    bits, which keeps the exact rational oracle quick.
+    """
+    rng = np.random.default_rng(seed)
+    edges = []
+    for part in (0, 1):
+        order = rng.permutation(35)
+        pairs = [(order[rng.integers(k)], order[k]) for k in range(1, 35)]
+        pairs += [rng.choice(35, size=2, replace=False) for _ in range(35)]
+        edges += [(2 * int(u) + part, 2 * int(v) + part) for u, v in pairs]
+    mantissa, exponent = np.frexp(10.0 ** rng.uniform(-span, span, size=len(edges)))
+    weights = np.ldexp(np.round(mantissa * 256) / 256, exponent)
+    return rs.WeightedGraph(70, [(u, v, float(w)) for (u, v), w in zip(edges, weights)])
+
+
 _SPANS = [(8, 1e-13), (12, 1e-13), (16, 1e-12)]
 
 
@@ -141,6 +159,46 @@ class TestExactResistances:
         prof = profile_of(g)
         assert prof.rank == 14
         np.testing.assert_allclose(prof.resistance, resistances_by_eig(g), rtol=1e-10)
+
+    def test_two_components_at_the_real_panel(self):
+        # rank 68: every panel of 32 after the first takes the GEMM of all the
+        # earlier ones, with both components in each panel; each is checked
+        # against its own exact resistances
+        g = _interleaved_components(0)
+        prof = profile_of(g)
+        assert prof.rank == 68 >= 2 * spectral._PANEL + 1
+        for part in (0, 1):
+            mine = [i for i, (u, _, _) in enumerate(g.edges) if u % 2 == part]
+            component = rs.WeightedGraph(
+                35, [(u // 2, v // 2, w) for u, v, w in (g.edges[i] for i in mine)]
+            )
+            np.testing.assert_allclose(
+                prof.resistance[mine], resistances_exact(component), rtol=1e-13
+            )
+
+    @pytest.mark.parametrize("k", [-40, -1, 3, 100])
+    def test_power_of_four_scaling_is_exact(self, k):
+        # weights times 4**k: the builder's 2**(-2h) takes h + k, so the same
+        # array is eliminated and every resistance comes back times 4**-k
+        g = _interleaved_components(1)
+        u, v, w = g._arrays
+        prof = profile_of(g)
+        scaled = profile_of(rs.WeightedGraph._from_arrays(g.n, u, v, np.ldexp(w, 2 * k)))
+        np.testing.assert_array_equal(scaled.resistance, np.ldexp(prof.resistance, -2 * k))
+        np.testing.assert_array_equal(scaled.leverage, prof.leverage)
+        np.testing.assert_array_equal(scaled.pinv_factor, np.ldexp(prof.pinv_factor, -k))
+
+    @pytest.mark.parametrize("g", [_three_components(), _interleaved_components(2)])
+    def test_trimmed_sums_match_full_width(self, g):
+        # the sums skip the columns left of each edge's first row, which F,
+        # upper triangular with a zero row for the grounds, holds at zero
+        factors = rs.incidence_factors(g)
+        _, at, f = spectral._grounded_factor(g.n, factors.lo, factors.hi, factors.weights)
+        rank = f.shape[1]
+        assert not np.any(np.tril(f[:rank], -1)) and not np.any(f[rank])
+        diffs = f[at[factors.lo]] - f[at[factors.hi]]
+        full = np.einsum("ij,ij->i", diffs, diffs)
+        np.testing.assert_allclose(profile_of(g).resistance, full, rtol=1e-15, atol=0)
 
     def test_faint_bridge(self):
         # a bridge of weight 1e-18, resistance 1e18, still resolves
