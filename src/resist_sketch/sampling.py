@@ -20,9 +20,9 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import ArpackError, eigsh
 
-from .errors import ParameterError, check
+from .errors import FactorizationError, ParameterError, check
 from .graphs import IncidenceFactors, _assemble_laplacian, _edge_factors
-from .spectral import SpectralProfile
+from .spectral import SpectralProfile, _eliminate, _grounded_gram
 
 _PROB_SUM_TOL = 1e-12
 #: Gram rank from which the concentration check runs Lanczos instead of eigvalsh;
@@ -77,6 +77,8 @@ class SparsifiedSystem:
                 w_i c_i / (r p_i), c_i the edge's draw count; weights reads them
     laplacian   n x n sparse symmetric Laplacian of the reweighted edges,
                 assembled on first read; nothing in the pipeline reads it
+    elimination its positive elimination (spectral._eliminate), made on first
+                read; the sparsified solve and concentration_check finish it
     nnz         its stored entries, counted from the edges without assembling it
     """
 
@@ -95,6 +97,10 @@ class SparsifiedSystem:
     def laplacian(self) -> sparse.csr_matrix:
         drawn = self.factors
         return _assemble_laplacian(drawn.n, drawn.lo, drawn.hi, drawn.weights)
+
+    @functools.cached_property
+    def elimination(self) -> tuple:
+        return _eliminate(self.factors)
 
     @property
     def nnz(self) -> int:
@@ -168,28 +174,22 @@ def concentration_check(profile: SpectralProfile, system: SparsifiedSystem) -> f
 
     With Phi the scaled incidence and H = profile.pinv_factor, U = Phi H is an
     orthonormal basis of Phi's range, and with D the rescalings c_i / (r p_i)
-    the sampled Gram matrix U^T D U is H^T L' H, L' = Phi^T D Phi the
-    sparsifier's Laplacian. Returns max |lambda(H^T L' H) - 1|, which the
-    guarantee controls; a sparsifier that splits a component scores at least 1.
-    L' H is summed from system.factors, one difference H[i] - H[j] per drawn edge,
-    weighted through the incidence's entries: the assembled rows of L',
-    deg_i H[i] - sum_j w_ij H[j], cancel at wide spans. The Gram matrix G is
-    formed; from rank _LANCZOS_RANK on, its extreme eigenvalue comes from
-    ARPACK Lanczos on G - I, started from a fixed vector so that repeated
-    calls agree bit for bit, and below that (or when ARPACK fails) from a
-    full eigvalsh.
+    the sampled Gram matrix U^T D U is G = H^T L' H, L' = Phi^T D Phi the
+    sparsifier's Laplacian, finished from system.elimination. Returns
+    max |lambda(G) - 1|, which the guarantee controls; a sparsifier that
+    splits a component scores at least 1. From rank _LANCZOS_RANK on, ARPACK
+    Lanczos on G - I finds it from a fixed start, so repeated calls agree bit
+    for bit; below that, or when ARPACK fails, a full eigvalsh. A deviation
+    past max(1, trace(G) - 1), trace(G) = sum_i w'_i R_i with R the profile's
+    resistances, is round-off across a faint bridge: FactorizationError.
     """
     h, drawn = profile.pinv_factor, system.factors
     if h.shape[0] != drawn.n:
         raise ParameterError(f"profile has {h.shape[0]} vertices but the sparsifier has {drawn.n}")
-    incidence = drawn.incidence
-    weighted = sparse.csr_matrix(
-        (incidence.data * np.repeat(drawn.weights, 2), incidence.indices, incidence.indptr),
-        shape=incidence.shape,
-    )
-    gram = h.T @ (weighted.T @ (incidence @ h))
-    gram = 0.5 * (gram + gram.T)
+    gram = _grounded_gram(system.elimination, h)
     rank = gram.shape[0]
+    trace = float(np.dot(drawn.weights, profile.resistance[system.edges]))
+    deviation = None
     if rank >= _LANCZOS_RANK:
         diagonal = np.diag_indices(rank)
         kept = gram[diagonal]
@@ -197,7 +197,11 @@ def concentration_check(profile: SpectralProfile, system: SparsifiedSystem) -> f
         v0 = np.random.default_rng(0).standard_normal(rank)
         try:
             top = eigsh(gram, k=1, which="LM", v0=v0, tol=0, return_eigenvectors=False)
-            return float(abs(top[0]))
+            deviation = float(abs(top[0]))
         except ArpackError:
             gram[diagonal] = kept
-    return float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1.0)))
+    if deviation is None:
+        deviation = float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1.0)))
+    if deviation > max(1.0, trace - 1.0) * (1.0 + 1e-8):
+        raise FactorizationError(f"deviation {deviation!r} is past what trace {trace!r} allows")
+    return deviation

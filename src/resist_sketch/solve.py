@@ -9,7 +9,9 @@ bounds. No square root is taken anywhere; tests compare like with like.
 
 Every Laplacian is read as edges, IncidenceFactors with L = B^T diag(w) B; a
 Laplacian matrix passed in is read through its strict upper triangle, so an
-overflowed diagonal is never read.
+overflowed diagonal is never read. Without a profile, the pseudoinverse is
+applied by two unit-triangular solves on the edges' positive elimination,
+whose factor keeps a faint bridge that an assembled diagonal would absorb.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 
 from .errors import ParameterError, check
-from .graphs import IncidenceFactors, _centre, _edge_factors
-from .spectral import SpectralProfile, _grounded_cholesky
+from .graphs import IncidenceFactors, _edge_factors
+from .spectral import SpectralProfile, _eliminate, _grounded_solve
 
 #: below this times max(1, ||x|| ||L x||), the reference energy x^T L x counts
 #: as zero and the ratio is undefined
@@ -68,39 +69,14 @@ def _edges(L) -> IncidenceFactors:
     return _edge_factors(L.shape[0], pairs.row, pairs.col, -pairs.data)
 
 
-def _pinv_apply(edges: IncidenceFactors, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Minimal-norm solution of a Laplacian system, and the Laplacian's rank.
-
-    Centres b on each component of the edges' graph, solves by Cholesky with
-    one vertex per component grounded, and centres x on each component.
-    """
-    labels, keep, half, factor = _grounded_cholesky(b.size, edges.lo, edges.hi, edges.weights)
-    b = _centre(b, labels)
-    x = np.zeros(labels.size)
-    x[keep] = np.ldexp(scipy.linalg.cho_solve((factor, True), b[keep]), -2 * half)
-    return _centre(x, labels), int(np.count_nonzero(keep))
-
-
-def solve_exact(L, b: np.ndarray, profile: SpectralProfile | None = None) -> SolveReport:
-    """Minimal 2-norm solution of the full Laplacian system.
-
-    L is IncidenceFactors or a Laplacian matrix (see _edges). With a spectral
-    profile the pseudoinverse is applied through its factor, x = H (H^T b);
-    otherwise the edges are factorized directly. The residual is ||L x - b||.
-    """
-    factors = _edges(L)
+def _solved(factors: IncidenceFactors, b, apply) -> SolveReport:
+    """Check b against the edges, solve by apply(b) -> (x, rank), and report ||L x - b||."""
     b = np.asarray(b, dtype=float)
     if b.shape != (factors.n,):
         raise ParameterError(f"right-hand side has shape {b.shape}, expected ({factors.n},)")
     if not np.all(np.isfinite(b)):
         raise ParameterError("right-hand side must be finite")
-    if profile is None:
-        x, rank = _pinv_apply(factors, b)
-    else:
-        h = profile.pinv_factor
-        if h.shape[0] != factors.n:
-            raise ParameterError(f"profile is for {h.shape[0]} vertices, graph has {factors.n}")
-        x, rank = h @ (h.T @ b), profile.rank
+    x, rank = apply(b)
     return SolveReport(
         x=x,
         residual_two_norm=float(np.linalg.norm(_laplacian_times(factors, x) - b)),
@@ -109,15 +85,32 @@ def solve_exact(L, b: np.ndarray, profile: SpectralProfile | None = None) -> Sol
     )
 
 
-def solve_sparsified(system, b: np.ndarray) -> SolveReport:
-    """Minimal 2-norm solution of a sampled Laplacian system, from its drawn edges.
+def solve_exact(L, b: np.ndarray, profile: SpectralProfile | None = None) -> SolveReport:
+    """Minimal 2-norm solution of the full Laplacian system.
 
-    The pseudoinverse is taken at the sampled system's own rank, n minus the
-    number of components of the drawn edges, which falls short of the
-    original's when the draw misses a bridge; the report's rank field makes
-    that visible.
+    L is IncidenceFactors or a Laplacian matrix (see _edges). With a spectral
+    profile the pseudoinverse is applied through its factor, x = H (H^T b);
+    otherwise the edges are eliminated and solved as solve_sparsified solves.
+    The residual is ||L x - b||.
     """
-    return solve_exact(system.factors, b)
+    factors = _edges(L)
+    if profile is None:
+        return _solved(factors, b, lambda b: _grounded_solve(_eliminate(factors), b))
+    h = profile.pinv_factor
+    if h.shape[0] != factors.n:
+        raise ParameterError(f"profile is for {h.shape[0]} vertices, graph has {factors.n}")
+    return _solved(factors, b, lambda b: (h @ (h.T @ b), profile.rank))
+
+
+def solve_sparsified(system, b: np.ndarray) -> SolveReport:
+    """Minimal 2-norm solution of a sampled Laplacian system, from system.elimination.
+
+    That factor is the one the concentration check reads. The pseudoinverse is
+    taken at the sampled system's own rank, n minus the number of components
+    of the drawn edges, which falls short of the original's when the draw
+    misses a bridge; the report's rank field makes that visible.
+    """
+    return _solved(system.factors, b, lambda b: _grounded_solve(system.elimination, b))
 
 
 def energy_norm(L, x: np.ndarray) -> float:

@@ -67,7 +67,7 @@ def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
     if factors.m < 1:
         raise ParameterError("graph has no edges")
     with np.errstate(all="ignore"):
-        labels, at, f = _grounded_factor(factors.n, factors.lo, factors.hi, factors.weights)
+        labels, at, f = _grounded_factor(_eliminate(factors))
         rank = f.shape[1]
         u, v = at[factors.lo], at[factors.hi]
         first = np.minimum(u, v)  # row u of F is zero left of column u, the grounds' row everywhere
@@ -96,9 +96,7 @@ def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
     )
 
 
-def _grounded_weights(
-    n: int, lo: np.ndarray, hi: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+def _grounded_weights(edges: IncidenceFactors) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Ground one vertex per component and scale the weights; nothing else does either.
 
     Returns the labels of ``_components``, the row map at (the i-th non-ground
@@ -109,7 +107,8 @@ def _grounded_weights(
     grounds; the rest of a is zero. Each consumer undoes the scaling on its
     result with one ldexp.
     """
-    labels, keep = _components(n, lo, hi)
+    lo, hi, weights = edges.lo, edges.hi, edges.weights
+    labels, keep = _components(edges.n, lo, hi)
     rank = int(np.count_nonzero(keep))
     half = round((math.log2(weights.max()) + math.log2(weights.min())) / 4) if weights.size else 0
     at = np.where(keep, np.cumsum(keep) - 1, rank)
@@ -119,27 +118,21 @@ def _grounded_weights(
     return labels, at, half, flat.reshape(rank + 1, rank)
 
 
-def _grounded_factor(
-    n: int, lo: np.ndarray, hi: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels, row map and F = L^-T D^-1/2 of the grounded Laplacian L D L^T.
+@np.errstate(all="ignore")  # a pivot that is not positive and finite is refused below
+def _eliminate(edges: IncidenceFactors) -> tuple:
+    """Positive L D L^T of the edges' grounded Laplacian: labels, row map, h, a, pivots D.
 
-    Left-looking, upper triangle only: the array a of ``_grounded_weights``
-    becomes the unit upper L^T in place, and then F, by LAPACK dtrtri and a
-    column scaling that also undoes the weights' 2**(-2h) on F, times 2**-h;
-    row rank is zeroed for the grounds, so row at[v] is vertex v's.
-    Vertices are eliminated in panels of _PANEL. A finished panel J has left
-    Y_J = -D_J^-1 Z_J <= 0 in its rows of a right of itself and in row rank
-    (the grounds), Z_J = L_JJ^-1 a[J, J+] >= 0 its Schur rows. Before panel
-    K, one GEMM, a[K, K+] += (Y^T D) Y over every earlier row, gives it its
-    current weights; nothing right of K is written before its turn, and no
-    lower triangle at all. Within the panel, each vertex's weight to
-    everything outside it (the grounds included) is one extra column of the
-    panel's array p, so each vertex costs one sum and one rank-1 update.
-    Every off-diagonal entry of L is <= 0, so each product and triangular
-    solve sums terms of one sign.
+    The array a of ``_grounded_weights`` becomes the unit upper L^T in place
+    (a[:rank]), L D L^T the grounded Laplacian times 2**(-2h); only the
+    finishes below read it. Left-looking, upper triangle only, in panels of
+    _PANEL: before panel K, one GEMM, a[K, K+] += (Y^T D) Y over every earlier
+    row, Y <= 0 the finished rows of L^T (row rank, the grounds', included),
+    gives it its current weights; within it, each vertex costs one sum and one
+    rank-1 update, its weight outside the panel being one extra column of p.
+    Every product and triangular solve sums terms of one sign. A pivot that is
+    not positive and finite raises FactorizationError.
     """
-    labels, at, half, a = _grounded_weights(n, lo, hi, weights)
+    labels, at, half, a = _grounded_weights(edges)
     rank = a.shape[1]
     ground = a[rank]
     pivots = np.empty(rank)
@@ -172,7 +165,17 @@ def _grounded_factor(
             f"pivot {int(bad[0])} of the rank-{rank} grounded Laplacian is "
             f"{float(pivots[bad[0]])!r}: weights span too far"
         )
-    ground[:] = 0.0  # row rank becomes the grounds' zero row of F
+    return labels, at, half, a, pivots
+
+
+def _grounded_factor(elimination: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels, row map and F = L^-T D^-1/2 2**-h, by dtrtri in place of the elimination's a.
+
+    Row rank is zeroed for the grounds, so row at[v] of F is vertex v's.
+    """
+    labels, at, half, a, pivots = elimination
+    rank = pivots.size
+    a[rank] = 0.0
     # L^T, upper, is a[:rank]; its transpose is lower and Fortran-ordered, inverted in place
     _, info = scipy.linalg.lapack.dtrtri(a[:rank].T, lower=1, unitdiag=1, overwrite_c=1)
     if info:
@@ -181,32 +184,38 @@ def _grounded_factor(
     return labels, at, a
 
 
-def _grounded_cholesky(
-    n: int, lo: np.ndarray, hi: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Lower Cholesky factor C of the grounded Laplacian of ``_grounded_weights``.
+def _grounded_solve(elimination: tuple, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Minimal-norm x with L x = b, and L's rank: two triangular solves on L's elimination."""
+    labels, at, half, a, pivots = elimination
+    keep, lower = at < pivots.size, a[: pivots.size].T  # L, Fortran-ordered
+    x, y = np.zeros(b.size), _centre(b, labels)[keep]
+    if pivots.size:
+        y = scipy.linalg.blas.dtrsv(lower, y, lower=1, diag=1, overwrite_x=1) / pivots
+        y = scipy.linalg.blas.dtrsv(lower, y, lower=1, trans=1, diag=1, overwrite_x=1)
+        x[keep] = np.ldexp(y, -2 * half)
+    return _centre(x, labels), pivots.size
 
-    Returns that call's labels, the non-grounds, h, and C, Fortran-ordered
-    and lower: C C^T is the edges' Laplacian times 2**(-2h) on the
-    non-grounds, with the weighted degrees on its diagonal; the caller undoes
-    the scaling. A failed or non-finite factor raises FactorizationError.
+
+def _grounded_gram(elimination: tuple, h: np.ndarray) -> np.ndarray:
+    """H^T L H from ``_eliminate`` of L's edges, as M^T M with M = 2**h D^1/2 L^T Y.
+
+    Y is H at the non-grounds minus the row of their component's ground (its
+    first vertex, as in ``_components``), a shift L H never sees.
     """
-    labels, at, half, a = _grounded_weights(n, lo, hi, weights)
-    rank = a.shape[1]
-    upper = a[:rank]
-    grounded = -upper.T  # Fortran-ordered; its lower triangle holds the edges
-    np.fill_diagonal(grounded, upper.sum(axis=1) + upper.sum(axis=0) + a[rank])
-    factor, info = scipy.linalg.lapack.dpotrf(grounded, lower=1, overwrite_a=1)
-    if info or not np.all(np.isfinite(factor.diagonal())):
-        raise FactorizationError(f"Cholesky of the {rank}x{rank} grounded system matrix failed")
-    return labels, at < rank, half, factor
+    labels, at, half, a, pivots = elimination
+    keep, lower = at < pivots.size, a[: pivots.size].T
+    y = h[keep] - h[np.unique(labels, return_index=True)[1][labels[keep]]]
+    # Y^T L in place of Y^T, both Fortran-ordered, is (L^T Y)^T
+    y = scipy.linalg.blas.dtrmm(1.0, lower, y.T, side=1, lower=1, diag=1, overwrite_b=1).T
+    y *= np.ldexp(np.sqrt(pivots), half)[:, None]
+    return y.T @ y
 
 
 def effective_resistances(g: WeightedGraph | IncidenceFactors) -> np.ndarray:
-    """Per-edge effective resistances through the inverse of the grounded Laplacian.
+    """Per-edge effective resistances through the Cholesky inverse of the grounded Laplacian.
 
     Independent of ``spectral_profile``: LAPACK factors the grounded
-    Laplacian of ``_grounded_cholesky``, assembled diagonal included, and
+    Laplacian of ``_grounded_weights``, assembled diagonal included, and
     inverts it in place (dpotrf, dpotri). With X that inverse, zero at the
     grounds, edge (u, v) has resistance X[u,u] + X[v,v] - 2 X[u,v], the same
     as through L^+. The weights' scaling by 2**(-2h) commutes exactly with
@@ -217,18 +226,22 @@ def effective_resistances(g: WeightedGraph | IncidenceFactors) -> np.ndarray:
     factors = g if isinstance(g, IncidenceFactors) else incidence_factors(g)
     if factors.m == 0:
         return np.zeros(0)
-    lo, hi = factors.lo, factors.hi
-    _, keep, half, factor = _grounded_cholesky(factors.n, lo, hi, factors.weights)
+    _, at, half, a = _grounded_weights(factors)
+    rank = a.shape[1]
+    grounded = -a[:rank].T  # Fortran-ordered; its lower triangle holds the edges
+    np.fill_diagonal(grounded, a[:rank].sum(axis=1) + a[:rank].sum(axis=0) + a[rank])
+    factor, info = scipy.linalg.lapack.dpotrf(grounded, lower=1, overwrite_a=1)
+    if info or not np.all(np.isfinite(factor.diagonal())):
+        raise FactorizationError(f"Cholesky of the {rank}x{rank} grounded Laplacian failed")
     inverse, info = scipy.linalg.lapack.dpotri(factor, lower=1, overwrite_c=1)
     if info:
-        k = inverse.shape[0]
-        raise FactorizationError(f"inverting the {k}x{k} grounded Laplacian failed")
+        raise FactorizationError(f"inverting the {rank}x{rank} grounded Laplacian failed")
     # hi > lo is never a ground (each component's first vertex is), so X[hi, lo]
     # sits in the lower triangle dpotri returns; when lo is a ground, X[lo] is zero
-    at = np.cumsum(keep) - 1
-    a, b = at[lo], at[hi]
+    keep = at < rank
+    i, j = np.cumsum(keep)[factors.lo] - 1, at[factors.hi]
     diag = inverse.diagonal()
-    scaled = np.where(keep[lo], diag[a] - 2.0 * inverse[b, a], 0.0) + diag[b]
+    scaled = np.where(keep[factors.lo], diag[i] - 2.0 * inverse[j, i], 0.0) + diag[j]
     return np.ldexp(scaled, -2 * half)
 
 

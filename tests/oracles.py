@@ -39,19 +39,29 @@ def dense_laplacian(g: WeightedGraph) -> np.ndarray:
     return L
 
 
+#: widest weight ratio at which resistances_by_eig's eigenvalue cut still holds
+_EIG_MAX_SPAN = 1e8
+
+
 def resistances_by_eig(g: WeightedGraph) -> np.ndarray:
-    """Effective resistances from the eigendecomposition pseudoinverse."""
+    """Effective resistances from the eigendecomposition pseudoinverse.
+
+    Refuses graphs whose weights span more than 1e8: there eig_pinv's cut,
+    max|lambda| n eps, drops genuine eigenvalues (off by up to 1.0 relative on
+    70 vertices at 1e+-8), so a test would check this oracle, not the code.
+    Wider spans read resistances_exact.
+    """
+    w = g.weights()
+    assert w.max() <= _EIG_MAX_SPAN * w.min(), "weights span past 1e8: use resistances_exact"
     lp = eig_pinv(dense_laplacian(g))
     return np.array([lp[u, u] + lp[v, v] - lp[u, v] - lp[v, u] for u, v, _ in g.edges])
 
 
-def resistances_exact(g: WeightedGraph) -> np.ndarray:
-    """Effective resistances of a connected graph in exact rational arithmetic.
+def _grounded_inverse_exact(g: WeightedGraph):
+    """G(a, b), the exact inverse of g's Laplacian grounded at vertex 0, zero on the ground.
 
-    Every float weight is a rational number, so Gauss-Jordan elimination on
-    the Laplacian grounded at vertex 0 gives its inverse G exactly; the
-    resistance of edge (u, v) is G[u,u] + G[v,v] - 2 G[u,v] (G is zero on the
-    ground), rounded to float once at the end.
+    g must be connected. Every float weight is a rational number, so
+    Gauss-Jordan elimination of [L_g | I] in Fractions gives the inverse exactly.
     """
     n = g.n
     lap = [[Fraction(0)] * n for _ in range(n)]
@@ -77,9 +87,33 @@ def resistances_exact(g: WeightedGraph) -> np.ndarray:
     def inverse(a: int, b: int) -> Fraction:
         return rows[a - 1][k + b - 1] if a and b else Fraction(0)
 
+    return inverse
+
+
+def resistances_exact(g: WeightedGraph) -> np.ndarray:
+    """Effective resistances of a connected graph in exact rational arithmetic.
+
+    With G the exact grounded inverse, the resistance of edge (u, v) is
+    G[u,u] + G[v,v] - 2 G[u,v], rounded to float once at the end.
+    """
+    inverse = _grounded_inverse_exact(g)
     return np.array(
         [float(inverse(u, u) + inverse(v, v) - 2 * inverse(u, v)) for u, v, _ in g.edges]
     )
+
+
+def solve_rational(g: WeightedGraph, b: np.ndarray) -> np.ndarray:
+    """Minimal-norm solution of L x = b for a connected graph, in exact rational arithmetic.
+
+    b is centred, x = G b with G the exact grounded inverse, and x centred,
+    all in Fractions; x is rounded to float once at the end.
+    """
+    inverse = _grounded_inverse_exact(g)
+    exact_b = [Fraction(float(x)) for x in b]
+    mean_b = sum(exact_b) / g.n
+    x = [sum(inverse(a, c) * (exact_b[c] - mean_b) for c in range(g.n)) for a in range(g.n)]
+    mean_x = sum(x) / g.n
+    return np.array([float(v - mean_x) for v in x])
 
 
 def orthonormal_basis(g: WeightedGraph) -> np.ndarray:

@@ -6,6 +6,7 @@ import scipy.linalg
 
 import conftest
 import resist_sketch as rs
+from oracles import solve_rational
 from resist_sketch.cli import _dumps, main
 
 
@@ -167,17 +168,69 @@ class TestExitCodes:
         code, out, _ = run(capsys, mode, "--graph", str(star), "--trials", "2")
         assert code == 0
         assert json.loads(out)["mode"] == mode
-        # a 1e-18 bridge: the scores and the draw resolve it, but the grounded
-        # Cholesky behind the cross-check and the sparsified solve loses it
-        # and refuses (exit 2), never exit 1 or an uncaught exception
+        # a 1e-18 bridge: the scores, the draw, the sparsified solve and the
+        # concentration check resolve it; only the grounded Cholesky behind
+        # resistance's cross-check loses it and refuses (exit 2), never exit 1
+        # or an uncaught exception
         code, out, err = run(
             capsys, mode, "--graph", bridged_triangles(tmp_path, 1e-18), "--trials", "2"
         )
-        if mode in ("leverage", "sparsify"):
-            assert code == 0
-        else:
+        if mode == "resistance":
             assert code == 2
             assert out == "" and "numerical failure" in err
+        else:
+            assert code == 0
+            assert json.loads(out)["mode"] == mode
+
+    @pytest.mark.parametrize("bridge", [1e-16, 1e-18, 1e-100])
+    def test_faint_bridge_sparsified_solve(self, tmp_path, capsys, bridge):
+        # x matches the exact rational solution of the sampled system, drawn
+        # again here through the API with the same plan
+        b = np.array([1.0, -2.0, 0.5, 3.0, -1.0, 0.25])
+        b_path = tmp_path / "b.txt"
+        b_path.write_text("".join(f"{x!r}\n" for x in b.tolist()), encoding="utf-8")
+        code, out, _ = run(
+            capsys, "solve", "--graph", bridged_triangles(tmp_path, bridge),
+            "--b", str(b_path), "--seed", "0",
+        )
+        assert code == 0
+        sparsified = json.loads(out)["results"]["sparsified"]
+        g = conftest.bridged_triangles(bridge)
+        factors = rs.incidence_factors(g)
+        plan = rs.SamplingPlan(
+            probabilities=rs.leverage_probabilities(rs.spectral_profile(factors)),
+            beta=1.0, epsilon=0.5, c0=1.0, r=rs.sample_count(g.n, 0.5), seed=0,
+        )
+        drawn = rs.build_sparsifier(factors, plan).factors
+        sampled = rs.WeightedGraph(g.n, zip(drawn.lo, drawn.hi, drawn.weights))
+        assert sparsified["rank"] == 5
+        x = np.asarray(sparsified["x"])
+        np.testing.assert_allclose(
+            x, solve_rational(sampled, b), rtol=0, atol=1e-14 * np.abs(x).max()
+        )
+
+    @pytest.mark.parametrize("bridge", [1e-16, 1e-18])
+    def test_faint_bridge_verifies(self, tmp_path, capsys, bridge):
+        # the bridge's leverage is 1 at any weight, so the draws and the true
+        # deviations are those of the unit bridge
+        runs = []
+        for weight in (bridge, 1.0):
+            code, out, _ = run(
+                capsys, "verify", "--graph", bridged_triangles(tmp_path, weight), "--trials", "3"
+            )
+            assert code == 0
+            runs.append(json.loads(out)["results"]["records"])
+        for faint, unit in zip(*runs):
+            assert faint["distinct_edges"] == unit["distinct_edges"]
+            assert faint["deviation"] == pytest.approx(unit["deviation"], rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("bridge", [1e-36, 1e-60])
+    def test_impossible_deviation_refused(self, tmp_path, capsys, bridge):
+        # round-off across the bridge would put the Gram matrix's deviation
+        # past its trace, which no positive semidefinite matrix allows
+        code, out, err = run(capsys, "sparsify", "--graph", bridged_triangles(tmp_path, bridge))
+        assert code == 2
+        assert out == "" and "numerical failure" in err and "trace" in err
 
     def test_verify_only_reports_failed_cross_check(self, tmp_path, capsys):
         code, out, _ = run(
@@ -188,10 +241,10 @@ class TestExitCodes:
         assert json.loads(out)["results"]["lemma_max_relerr"] > 1e-8
 
     def test_verify_reports_unfactorable_cross_check_as_null(self, tmp_path, capsys):
-        # at 1e-18 the grounded inverse cannot be factored: the gap is inf,
-        # null in JSON. One draw per trial keeps each sparsified system a
-        # single edge, which its own grounded Cholesky factors at any weight;
-        # at the rule's r that Cholesky fails on this bridge too (exit 2).
+        # at 1e-18 the grounded Cholesky inverse cannot be factored: the gap
+        # is inf, null in JSON. One draw per trial leaves each sparsified
+        # system a single edge, a rank shortfall that the solve and the check
+        # finish from the same elimination as a full-rank draw.
         code, out, _ = run(
             capsys, "verify", "--graph", bridged_triangles(tmp_path, 1e-18),
             "--trials", "2", "--r-override", "1",

@@ -117,13 +117,20 @@ class TestNumericalFailure:
             spectral.spectral_profile(rs.incidence_factors(rs.path(4)))
 
     def test_failing_cholesky_raises(self, monkeypatch):
+        # a forced zero pivot in the sampled system's elimination, made on first read
         factors = rs.incidence_factors(_TRIANGLE)
         plan = rs.SamplingPlan(
             probabilities=np.full(3, 1.0 / 3.0), beta=1.0, epsilon=0.5, c0=1.0, r=10, seed=0
         )
         system = rs.build_sparsifier(factors, plan)
-        _failing(monkeypatch, "dpotrf")
-        with pytest.raises(rs.FactorizationError, match="grounded system matrix failed"):
+        weights = spectral._grounded_weights
+
+        def zeroed(*args):
+            labels, at, half, a = weights(*args)
+            return labels, at, half, 0.0 * a
+
+        monkeypatch.setattr(spectral, "_grounded_weights", zeroed)
+        with pytest.raises(rs.FactorizationError, match="pivot 0 of the rank-2 grounded"):
             rs.solve_sparsified(system, np.array([1.0, 0.0, -1.0]))
 
     @pytest.mark.parametrize("name", ["dpotrf", "dpotri"])

@@ -277,6 +277,36 @@ class TestRunReport:
         rs.run_report(cfg_for(graph_file(triangle), mode=mode, trials=draws))
         assert len(calls) == draws
 
+    def test_one_elimination_per_trial(self, graph_file, triangle, monkeypatch):
+        # each trial's sparsified system is eliminated once, and that one
+        # factor is what the sparsified solve and then the check finish
+        from resist_sketch import sampling, solve
+
+        made, finished = [], []
+        eliminate = sampling._eliminate
+
+        def counted(*args):
+            made.append(eliminate(*args))
+            return made[-1]
+
+        def reading(name, module):
+            real = getattr(module, name)
+
+            def read(elimination, operand):
+                finished.append((name, id(elimination)))
+                return real(elimination, operand)
+
+            monkeypatch.setattr(module, name, read)
+
+        monkeypatch.setattr(sampling, "_eliminate", counted)
+        reading("_grounded_solve", solve)
+        reading("_grounded_gram", sampling)
+        rs.run_report(cfg_for(graph_file(triangle), mode="verify", trials=3))
+        assert len(made) == 3
+        assert finished == [
+            (name, id(e)) for e in made for name in ("_grounded_solve", "_grounded_gram")
+        ]
+
     def test_every_mode_reports_timings(self, graph_file, triangle):
         for mode in rs.harness.MODES:
             report = rs.run_report(cfg_for(graph_file(triangle), mode=mode, trials=2))

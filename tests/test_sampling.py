@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import resist_sketch as rs
-from resist_sketch import sampling
+from resist_sketch import sampling, spectral
 from conftest import bridged_triangles, connected_graphs
 from oracles import inverse_cdf_draws, materialized_sampler_product, orthonormal_basis
 
@@ -408,11 +408,9 @@ def oracle_deviation(g, system) -> float:
 
 
 def eigvalsh_deviation(prof, system) -> float:
-    """The full-eigendecomposition deviation of H^T L' H, L' H scaled in its own pass."""
-    h, drawn = prof.pinv_factor, system.factors
-    scaled = (drawn.incidence @ h) * drawn.weights[:, None]
-    gram = h.T @ (drawn.incidence.T @ scaled)
-    return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (gram + gram.T)) - 1.0)))
+    """The full-eigendecomposition deviation of the Gram matrix the check forms."""
+    gram = spectral._grounded_gram(system.elimination, prof.pinv_factor)
+    return float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1.0)))
 
 
 @pytest.fixture

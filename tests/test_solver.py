@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import resist_sketch as rs
 from conftest import bridged_triangles, connected_graphs, weighted_graphs
-from oracles import eig_pinv
+from oracles import eig_pinv, solve_rational
+from test_spectral import _wide_weight_graph
 
 
 def profile_of(g):
@@ -60,6 +61,17 @@ class TestSolveExact:
             x = rs.solve_exact(L, b).x
             x_oracle = eig_pinv(L.toarray()) @ b
             assert np.linalg.norm(x - x_oracle) <= 1e-9 * max(np.linalg.norm(x_oracle), 1.0)
+
+    @pytest.mark.parametrize("span", [8, 12, 16])
+    def test_wide_weight_spans_without_profile(self, span):
+        # the positive elimination keeps every entry; a Cholesky of the
+        # assembled Laplacian was off by 1.8e-9, 2.3e-5 and 7.5e-2 here
+        for seed in range(8):
+            g = _wide_weight_graph(seed, span)
+            b = np.random.default_rng(seed).standard_normal(g.n)
+            exact = solve_rational(g, b)
+            x = rs.solve_exact(rs.incidence_factors(g), b).x
+            np.testing.assert_allclose(x, exact, rtol=0, atol=1e-14 * np.abs(exact).max())
 
     def test_dimension_mismatch(self, triangle):
         with pytest.raises(rs.ParameterError, match="shape"):
