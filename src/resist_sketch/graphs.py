@@ -193,10 +193,15 @@ def _components(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _centre(v: np.ndarray, labels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """v minus the mean of its rows over each component (labels from _components), into out."""
+    """v minus the mean of its rows over each component (labels from _components), into out.
+
+    Each component's rows are summed in vertex order, by bincount for a vector.
+    """
+    sizes = np.bincount(labels)
+    if v.ndim == 1:
+        return np.subtract(v, (np.bincount(labels, v) / sizes)[labels], out=out)
     member = sparse.csr_matrix((np.ones(labels.size), (labels, np.arange(labels.size))))
-    sizes = np.bincount(labels).reshape((-1,) + (1,) * (v.ndim - 1))
-    return np.subtract(v, (member @ v / sizes)[labels], out=out)
+    return np.subtract(v, (member @ v / sizes[:, None])[labels], out=out)
 
 
 def component_count(g: WeightedGraph) -> int:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.linalg.blas import dsymv
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import FactorizationError, ParameterError, check
 from .graphs import IncidenceFactors, _assemble_laplacian, _edge_factors
@@ -175,18 +176,21 @@ def concentration_check(profile: SpectralProfile, system: SparsifiedSystem) -> f
     With Phi the scaled incidence and H = profile.pinv_factor, U = Phi H is an
     orthonormal basis of Phi's range, and with D the rescalings c_i / (r p_i)
     the sampled Gram matrix U^T D U is G = H^T L' H, L' = Phi^T D Phi the
-    sparsifier's Laplacian, finished from system.elimination. Returns
-    max |lambda(G) - 1|, which the guarantee controls; a sparsifier that
-    splits a component scores at least 1. From rank _LANCZOS_RANK on, ARPACK
-    Lanczos on G - I finds it from a fixed start, so repeated calls agree bit
-    for bit; below that, or when ARPACK fails, a full eigvalsh. A deviation
-    past max(1, trace(G) - 1), trace(G) = sum_i w'_i R_i with R the profile's
-    resistances, is round-off across a faint bridge: FactorizationError.
+    sparsifier's Laplacian. It is finished from system.elimination and the
+    profile's F, never H, as the upper triangle of a matrix with G's
+    eigenvalues (spectral._grounded_gram). Returns max |lambda(G) - 1|, which
+    the guarantee controls; a sparsifier that splits a component scores at
+    least 1. From rank _LANCZOS_RANK on, ARPACK Lanczos on G - I, applied by
+    dsymv from that triangle, finds it from a fixed start, so repeated calls
+    agree bit for bit; below that, or when ARPACK fails, a full eigvalsh of
+    the triangle. A deviation past max(1, trace(G) - 1), trace(G) = sum_i
+    w'_i R_i with R the profile's resistances, is round-off across a faint
+    bridge: FactorizationError.
     """
-    h, drawn = profile.pinv_factor, system.factors
-    if h.shape[0] != drawn.n:
-        raise ParameterError(f"profile has {h.shape[0]} vertices but the sparsifier has {drawn.n}")
-    gram = _grounded_gram(system.elimination, h)
+    drawn, n = system.factors, profile.row_map.size
+    if n != drawn.n:
+        raise ParameterError(f"profile has {n} vertices but the sparsifier has {drawn.n}")
+    gram = _grounded_gram(system.elimination, profile.factor, profile.row_map)
     rank = gram.shape[0]
     trace = float(np.dot(drawn.weights, profile.resistance[system.edges]))
     deviation = None
@@ -195,13 +199,17 @@ def concentration_check(profile: SpectralProfile, system: SparsifiedSystem) -> f
         kept = gram[diagonal]
         gram[diagonal] -= 1.0
         v0 = np.random.default_rng(0).standard_normal(rank)
+        # the upper triangle of gram is the lower of its Fortran-ordered transpose
+        shifted = LinearOperator(
+            (rank, rank), matvec=functools.partial(dsymv, 1.0, gram.T, lower=1), dtype=float
+        )
         try:
-            top = eigsh(gram, k=1, which="LM", v0=v0, tol=0, return_eigenvectors=False)
+            top = eigsh(shifted, k=1, which="LM", v0=v0, tol=0, return_eigenvectors=False)
             deviation = float(abs(top[0]))
         except ArpackError:
             gram[diagonal] = kept
     if deviation is None:
-        deviation = float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1.0)))
+        deviation = float(np.max(np.abs(np.linalg.eigvalsh(gram, UPLO="U") - 1.0)))
     if deviation > max(1.0, trace - 1.0) * (1.0 + 1e-8):
         raise FactorizationError(f"deviation {deviation!r} is past what trace {trace!r} allows")
     return deviation

@@ -25,7 +25,7 @@ import scipy.sparse as sparse
 
 from .errors import ParameterError, check
 from .graphs import IncidenceFactors, _edge_factors
-from .spectral import SpectralProfile, _eliminate, _grounded_solve
+from .spectral import SpectralProfile, _eliminate, _grounded_solve, _pinv_factor
 
 #: below this times max(1, ||x|| ||L x||), the reference energy x^T L x counts
 #: as zero and the ratio is undefined
@@ -96,9 +96,10 @@ def solve_exact(L, b: np.ndarray, profile: SpectralProfile | None = None) -> Sol
     factors = _edges(L)
     if profile is None:
         return _solved(factors, b, lambda b: _grounded_solve(_eliminate(factors), b))
-    h = profile.pinv_factor
-    if h.shape[0] != factors.n:
-        raise ParameterError(f"profile is for {h.shape[0]} vertices, graph has {factors.n}")
+    n = profile.row_map.size
+    if n != factors.n:
+        raise ParameterError(f"profile is for {n} vertices, graph has {factors.n}")
+    h = _pinv_factor(profile)  # for this solve only: the profile keeps F, not H as well
     return _solved(factors, b, lambda b: (h @ (h.T @ b), profile.rank))
 
 
@@ -129,15 +130,20 @@ def _laplacian_times(factors: IncidenceFactors, x: np.ndarray) -> np.ndarray:
     return factors.incidence.T @ (factors.weights * (factors.incidence @ x))
 
 
+def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v 2**-k, k) for the power of two that brings v's largest entry into [0.5, 1); exact."""
+    _, k = math.frexp(float(np.max(np.abs(v), initial=0.0)))
+    return np.ldexp(v, -k), k
+
+
 def _scaled_energy(weights: np.ndarray, flow: np.ndarray) -> tuple[float, int]:
     """sum_i weights_i flow_i^2 as (e, k), the energy being e * 2**k.
 
     The flow is first scaled by the power of two that brings its largest
-    entry into [0.5, 1), so no square underflows when the flows near the
-    bottom of the float range; the scaling is exact.
+    entry into [0.5, 1), so no square under- or overflows when the flows near
+    either end of the float range.
     """
-    _, half = math.frexp(float(np.max(np.abs(flow), initial=0.0)))
-    flow = np.ldexp(flow, -half)
+    flow, half = _unit_scaled(flow)
     return float(np.dot(weights, flow * flow)), 2 * half
 
 
@@ -169,11 +175,18 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
     reference, k_reference = _scaled_energy(weights, L.incidence @ exact.x)
     energy_error = math.ldexp(error, a + k_error)
     # x^T L x <= ||x|| ||L x|| (Cauchy-Schwarz): a floor that grows with x as
-    # the energy does, where ||x||^2 would outgrow it across a faint bridge;
-    # both sides are those of the weight-scaled system, x 2**a and L 2**-a
-    bound = np.linalg.norm(exact.x) * np.linalg.norm(_laplacian_times(L, exact.x))
-    floor = _NULL_ENERGY_FLOOR * max(1.0, math.ldexp(float(bound), a))
-    if math.ldexp(reference, k_reference + 2 * a) <= floor:
+    # the energy does, where ||x||^2 would outgrow it across a faint bridge.
+    # Both sides are those of the weight-scaled system, x 2**a and L 2**-a;
+    # with x = y 2**k, its bound is ||y|| ||L 2**-a y|| 2**(2k + 2a), and
+    # both sides are compared times 2**-t, t >= that exponent, so neither
+    # the norms nor the comparison can overflow
+    y, k = _unit_scaled(exact.x)
+    ly = L.incidence.T @ (weights * (L.incidence @ y))
+    exponent = 2 * (k + a)
+    t = max(0, exponent)
+    bound = float(np.linalg.norm(y) * np.linalg.norm(ly))
+    floor = _NULL_ENERGY_FLOOR * max(math.ldexp(1.0, -t), math.ldexp(bound, exponent - t))
+    if math.ldexp(reference, k_reference + 2 * a - t) <= floor:
         relative, success = None, energy_error <= _NULL_ENERGY_SUCCESS
     else:
         relative = math.ldexp(error / reference, k_error - k_reference)

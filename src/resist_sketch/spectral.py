@@ -16,6 +16,7 @@ approximation algorithm lives here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,15 +34,38 @@ class SpectralProfile:
     leverage        per-edge scores in [0, 1]; they sum to ``rank``
     resistance      per-edge effective resistances, leverage / weight
     rank            n - #components
-    pinv_factor     n x rank matrix H with H H^T the Laplacian pseudoinverse;
-                    the scaled incidence times H, never formed, is an
-                    orthonormal basis of its range (see concentration_check)
+    factor          (rank + 1) x rank upper-triangular F = L^-T D^-1/2 of the
+                    grounded Laplacian's positive elimination; its last row,
+                    the grounds', is zero (see spectral_profile)
+    row_map         each vertex's row of F: the i-th non-ground's is i, every
+                    ground's is rank
+    labels          component labels of the vertices (graphs._components)
+    pinv_factor     n x rank matrix H = F[row_map] centred per component, with
+                    H H^T the Laplacian pseudoinverse, built on first read and
+                    kept; the scaled incidence times H, never formed, is an
+                    orthonormal basis of its range. The scores and
+                    concentration_check read F instead, and solve_exact builds
+                    H for its one solve without keeping it
     """
 
     leverage: np.ndarray
     resistance: np.ndarray
     rank: int
-    pinv_factor: np.ndarray
+    factor: np.ndarray
+    row_map: np.ndarray
+    labels: np.ndarray
+
+    @functools.cached_property
+    def pinv_factor(self) -> np.ndarray:
+        h = _pinv_factor(self)
+        h.setflags(write=False)
+        return h
+
+
+def _pinv_factor(profile: SpectralProfile) -> np.ndarray:
+    """H = F[row_map] centred per component, built afresh on every call."""
+    h = profile.factor[profile.row_map]
+    return _centre(h, profile.labels, out=h)
 
 
 #: vertices eliminated per panel before one Schur update of the rest
@@ -86,13 +110,10 @@ def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
         raise FactorizationError(
             f"leverage scores sum to {total!r}, not the rank {rank}: weights span too far"
         )
-    pinv_factor = f[at]
-    del f  # freed before the centring allocates its temporary
-    _centre(pinv_factor, labels, out=pinv_factor)
-    for arr in (leverage, resistance, pinv_factor):
+    for arr in (leverage, resistance, f, at, labels):
         arr.setflags(write=False)
     return SpectralProfile(
-        leverage=leverage, resistance=resistance, rank=rank, pinv_factor=pinv_factor
+        leverage=leverage, resistance=resistance, rank=rank, factor=f, row_map=at, labels=labels
     )
 
 
@@ -196,19 +217,34 @@ def _grounded_solve(elimination: tuple, b: np.ndarray) -> tuple[np.ndarray, int]
     return _centre(x, labels), pivots.size
 
 
-def _grounded_gram(elimination: tuple, h: np.ndarray) -> np.ndarray:
-    """H^T L H from ``_eliminate`` of L's edges, as M^T M with M = 2**h D^1/2 L^T Y.
+def _grounded_gram(elimination: tuple, f: np.ndarray, row_map: np.ndarray) -> np.ndarray:
+    """H^T L H from ``_eliminate`` of L's edges and a profile's F and row map, in the upper triangle.
 
-    Y is H at the non-grounds minus the row of their component's ground (its
-    first vertex, as in ``_components``), a shift L H never sees.
+    With H = F[row_map] centred and Y the rows of F at L's non-grounds minus
+    those at their component's ground (its first vertex, as in
+    ``_components``), H^T L H = M^T M, M = 2**h D^1/2 L^T Y: the centring and
+    the shift cancel in L H. When L keeps F's rank, it keeps the components,
+    so the grounds and row map are F's, Y is F[:rank] and M is upper
+    triangular; then dlauum writes M M^T, which has M^T M's spectrum, over
+    the upper triangle of M in n^3/6 flops. A draw short of F's rank gathers
+    Y and forms M^T M whole. Either way the upper triangle is what to read.
     """
     labels, at, half, a, pivots = elimination
-    keep, lower = at < pivots.size, a[: pivots.size].T
-    y = h[keep] - h[np.unique(labels, return_index=True)[1][labels[keep]]]
+    rank, lower = pivots.size, a[: pivots.size].T
+    full = rank == f.shape[1]
+    if full:
+        y = np.array(f[:rank])
+    else:
+        keep = at < rank
+        grounds = np.unique(labels, return_index=True)[1][labels[keep]]
+        y = f[row_map[keep]] - f[row_map[grounds]]
     # Y^T L in place of Y^T, both Fortran-ordered, is (L^T Y)^T
     y = scipy.linalg.blas.dtrmm(1.0, lower, y.T, side=1, lower=1, diag=1, overwrite_b=1).T
     y *= np.ldexp(np.sqrt(pivots), half)[:, None]
-    return y.T @ y
+    if not full:
+        return y.T @ y
+    # M^T, Fortran-ordered and lower, takes M M^T in its lower triangle: M's upper
+    return scipy.linalg.lapack.dlauum(y.T, lower=1, overwrite_c=1)[0].T
 
 
 def effective_resistances(g: WeightedGraph | IncidenceFactors) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,16 @@ def bridged_triangles(tmp_path, bridge):
     target = tmp_path / "bridge.txt"
     with open(target, "w", encoding="utf-8") as fh:
         rs.save_graph(conftest.bridged_triangles(bridge), fh)
+    return str(target)
+
+
+BRIDGED_RHS = np.array([1.0, -2.0, 0.5, 3.0, -1.0, 0.25])
+
+
+def bridged_rhs(tmp_path):
+    """Write BRIDGED_RHS, a right-hand side for the bridged triangles, and hand back its path."""
+    target = tmp_path / "b.txt"
+    target.write_text("".join(f"{x!r}\n" for x in BRIDGED_RHS.tolist()), encoding="utf-8")
     return str(target)
 
 
@@ -186,12 +197,9 @@ class TestExitCodes:
     def test_faint_bridge_sparsified_solve(self, tmp_path, capsys, bridge):
         # x matches the exact rational solution of the sampled system, drawn
         # again here through the API with the same plan
-        b = np.array([1.0, -2.0, 0.5, 3.0, -1.0, 0.25])
-        b_path = tmp_path / "b.txt"
-        b_path.write_text("".join(f"{x!r}\n" for x in b.tolist()), encoding="utf-8")
         code, out, _ = run(
             capsys, "solve", "--graph", bridged_triangles(tmp_path, bridge),
-            "--b", str(b_path), "--seed", "0",
+            "--b", bridged_rhs(tmp_path), "--seed", "0",
         )
         assert code == 0
         sparsified = json.loads(out)["results"]["sparsified"]
@@ -206,8 +214,39 @@ class TestExitCodes:
         assert sparsified["rank"] == 5
         x = np.asarray(sparsified["x"])
         np.testing.assert_allclose(
-            x, solve_rational(sampled, b), rtol=0, atol=1e-14 * np.abs(x).max()
+            x, solve_rational(sampled, BRIDGED_RHS), rtol=0, atol=1e-14 * np.abs(x).max()
         )
+
+    @pytest.mark.parametrize("bridge", [1e-160, 1e-200, 1e-300])
+    def test_faint_bridge_energy_ratio(self, tmp_path, capsys, bridge):
+        # x reaches 1/bridge, where ||x||^2 overflows; the null-energy floor's
+        # norms are scaled as the energies are, so the ratio stays defined and
+        # is the 1e-100 bridge's, the draws being the same
+        reports = []
+        for weight in (1e-100, bridge):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, _ = run(
+                    capsys, "solve", "--graph", bridged_triangles(tmp_path, weight),
+                    "--b", bridged_rhs(tmp_path), "--seed", "0",
+                )
+            assert code == 0
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            reports.append(json.loads(out)["results"]["sparsified"])
+        reference, faint = (r["relative_energy_error"] for r in reports)
+        assert faint == pytest.approx(reference, rel=1e-12, abs=0)
+        assert reports[1]["success"] is True
+
+    @pytest.mark.parametrize("bridge", [1e-8, 1e-16, 1e-24, 1e-28])
+    def test_faint_bridge_deviation(self, tmp_path, capsys, bridge):
+        # the bridge's leverage is 1 at any weight, so the draw is the unit
+        # bridge's; it keeps the bridge, so the check's Gram is triangular
+        deviations = []
+        for weight in (1.0, bridge):
+            code, out, _ = run(capsys, "sparsify", "--graph", bridged_triangles(tmp_path, weight))
+            assert code == 0
+            deviations.append(json.loads(out)["results"]["deviation"])
+        assert deviations[1] == pytest.approx(deviations[0], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("bridge", [1e-16, 1e-18])
     def test_faint_bridge_verifies(self, tmp_path, capsys, bridge):

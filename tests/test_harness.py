@@ -292,9 +292,9 @@ class TestRunReport:
         def reading(name, module):
             real = getattr(module, name)
 
-            def read(elimination, operand):
+            def read(elimination, *operands):
                 finished.append((name, id(elimination)))
-                return real(elimination, operand)
+                return real(elimination, *operands)
 
             monkeypatch.setattr(module, name, read)
 
@@ -306,6 +306,23 @@ class TestRunReport:
         assert finished == [
             (name, id(e)) for e in made for name in ("_grounded_solve", "_grounded_gram")
         ]
+
+    @pytest.mark.parametrize("mode", rs.harness.MODES)
+    def test_profile_keeps_no_pinv_factor(self, graph_file, triangle, monkeypatch, mode):
+        # the scores and the check read F; H is built only when pinv_factor is
+        # read, and the exact solve builds it for its one product without keeping it
+        from resist_sketch import harness
+
+        made = []
+
+        def profiled(factors):
+            made.append(rs.spectral_profile(factors))
+            return made[-1]
+
+        monkeypatch.setattr(harness, "spectral_profile", profiled)
+        rs.run_report(cfg_for(graph_file(triangle), mode=mode, trials=3))
+        assert len(made) == 1
+        assert "pinv_factor" not in vars(made[0])
 
     def test_every_mode_reports_timings(self, graph_file, triangle):
         for mode in rs.harness.MODES:

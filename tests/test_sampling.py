@@ -408,9 +408,12 @@ def oracle_deviation(g, system) -> float:
 
 
 def eigvalsh_deviation(prof, system) -> float:
-    """The full-eigendecomposition deviation of the Gram matrix the check forms."""
-    gram = spectral._grounded_gram(system.elimination, prof.pinv_factor)
-    return float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1.0)))
+    """The full-eigendecomposition deviation of the Gram matrix the check forms.
+
+    Either finish, triangular or gathered, leaves it in the upper triangle.
+    """
+    gram = spectral._grounded_gram(system.elimination, prof.factor, prof.row_map)
+    return float(np.max(np.abs(np.linalg.eigvalsh(gram, UPLO="U") - 1.0)))
 
 
 @pytest.fixture
@@ -459,6 +462,21 @@ class TestLanczosDeviation:
         prof, system = self.missed_bridge()
         assert rs.concentration_check(prof, system) == pytest.approx(1.0, abs=1e-12)
         assert len(eigsh_calls) == 1
+
+    def test_full_rank_draw_gram_is_triangular(self):
+        # a draw that keeps the components has the profile's grounds, so M is
+        # upper triangular and M M^T is written over it, its zeros kept below
+        prof, _, system = sparsified(two_blocks(1e-3), r=20000, seed=9)
+        assert system.elimination[4].size == prof.rank
+        gram = spectral._grounded_gram(system.elimination, prof.factor, prof.row_map)
+        assert not np.tril(gram, -1).any()
+
+    def test_missed_bridge_gram_is_gathered(self):
+        # a rank shortfall gathers Y and forms M^T M whole
+        prof, system = self.missed_bridge()
+        assert system.elimination[4].size == prof.rank - 1
+        gram = spectral._grounded_gram(system.elimination, prof.factor, prof.row_map)
+        np.testing.assert_array_equal(gram, gram.T)
 
     def test_repeat_calls_bit_identical(self):
         prof, _, system = sparsified(two_blocks(1e-3), r=20000, seed=9)

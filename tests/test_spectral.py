@@ -81,13 +81,21 @@ class TestSpectralProfile:
 
     def test_no_edge_space_basis(self):
         # the profile holds nothing m x rank: the sampled Gram matrix comes
-        # from the n x rank pinv_factor
+        # from the (rank + 1) x rank factor F
         g = rs.complete(6)
         prof = profile_of(g)
         for field in dataclasses.fields(prof):
             value = getattr(prof, field.name)
             if isinstance(value, np.ndarray) and value.ndim == 2:
                 assert value.shape[0] != g.m or value.shape[1] <= 1, field.name
+
+
+    def test_pinv_factor_built_on_first_read(self):
+        prof = profile_of(rs.complete(6))
+        assert "pinv_factor" not in vars(prof)
+        h = prof.pinv_factor
+        assert prof.pinv_factor is h and not h.flags.writeable
+        np.testing.assert_array_equal(h, spectral._pinv_factor(prof))
 
 
 def _wide_weight_graph(seed, span):
