@@ -72,10 +72,10 @@ class VerifyReport:
     sparsified solve against epsilon; the concentration fields score how far
     each trial's sampled Gram matrix strayed from the identity, whose
     guarantee level is sqrt(epsilon)/2 per trial and sqrt(epsilon)/6 in the
-    mean. lemma_max_relerr is the worst relative disagreement between the
-    two independent resistance computations on this graph, a per-graph
-    cross-check that does not vary with the trials; it is inf (null in the
-    JSON report) when the grounded Laplacian cannot be factored.
+    mean. lemma_max_relerr is the worst relative gap between leverage and
+    weight times the reverse-order resistances (effective_resistances), a
+    per-graph order-independence check that does not vary with the trials;
+    it is inf (null in the JSON report) when that elimination is refused.
     """
 
     trials: int
@@ -126,10 +126,10 @@ def _load_rhs(cfg: RunConfig, n: int) -> np.ndarray:
 def _cross_check(
     factors: IncidenceFactors, profile: SpectralProfile
 ) -> tuple[np.ndarray | None, float]:
-    """Grounded-inverse resistances and their worst relative gap to leverage/weight.
+    """Reverse-order resistances and their worst relative gap to leverage/weight.
 
-    When the grounded Laplacian cannot be factored there are no resistances
-    and the gap is infinite.
+    When the reverse-order elimination is refused (FactorizationError) there
+    are no resistances and the gap is infinite.
     """
     try:
         resistance = effective_resistances(factors)
@@ -184,17 +184,18 @@ def cmd_leverage(cfg: RunConfig) -> dict[str, Any]:
 
 
 def cmd_resistance(cfg: RunConfig) -> dict[str, Any]:
-    """Effective resistances via the grounded Cholesky inverse, with cross-check.
+    """Effective resistances by a reverse-order elimination, with cross-check.
 
-    The resistances come from the Cholesky inverse of the grounded Laplacian,
-    which gives the same values as L^+. A cross-check gap above 1e-8, or a
-    factor that fails (gap inf), raises FactorizationError, not wrong values.
+    The resistances are effective_resistances', the positive elimination in
+    reverse vertex order, checked against the profile's leverage / weight
+    (forward order). A gap above 1e-8, or a refused elimination (gap inf),
+    raises FactorizationError, not wrong values.
     """
     g, factors, profile = _analyze(cfg)
     resistance, gap = _cross_check(factors, profile)
     if not gap <= _CROSS_CHECK_TOL:
         raise FactorizationError(
-            f"pseudoinverse resistances disagree with the leverage route by {gap:.3e}"
+            f"reverse-order resistances disagree with the leverage route by {gap:.3e}"
         )
     return {
         "n": g.n,

@@ -25,7 +25,7 @@ import scipy.sparse as sparse
 
 from .errors import ParameterError, check
 from .graphs import IncidenceFactors, _edge_factors
-from .spectral import SpectralProfile, _eliminate, _grounded_solve, _pinv_factor
+from .spectral import SpectralProfile, _eliminate, _factor_solve, _grounded_solve
 
 #: below this times max(1, ||x|| ||L x||), the reference energy x^T L x counts
 #: as zero and the ratio is undefined
@@ -89,9 +89,9 @@ def solve_exact(L, b: np.ndarray, profile: SpectralProfile | None = None) -> Sol
     """Minimal 2-norm solution of the full Laplacian system.
 
     L is IncidenceFactors or a Laplacian matrix (see _edges). With a spectral
-    profile the pseudoinverse is applied through its factor, x = H (H^T b);
-    otherwise the edges are eliminated and solved as solve_sparsified solves.
-    The residual is ||L x - b||.
+    profile the pseudoinverse is applied through its triangular factor F,
+    x = H (H^T b) without forming H; otherwise the edges are eliminated and
+    solved as solve_sparsified solves. The residual is ||L x - b||.
     """
     factors = _edges(L)
     if profile is None:
@@ -99,8 +99,7 @@ def solve_exact(L, b: np.ndarray, profile: SpectralProfile | None = None) -> Sol
     n = profile.row_map.size
     if n != factors.n:
         raise ParameterError(f"profile is for {n} vertices, graph has {factors.n}")
-    h = _pinv_factor(profile)  # for this solve only: the profile keeps F, not H as well
-    return _solved(factors, b, lambda b: (h @ (h.T @ b), profile.rank))
+    return _solved(factors, b, lambda b: _factor_solve(profile, b))
 
 
 def solve_sparsified(system, b: np.ndarray) -> SolveReport:

@@ -4,9 +4,8 @@ The leverage score of edge i is the i-th diagonal entry of the projection
 onto the column space of the weight-scaled incidence matrix, equal to the
 squared i-th row norm of any orthonormal basis of that space. Dividing by the
 edge weight gives the effective resistance, which this module also computes a
-second, independent way (through the Cholesky inverse of the grounded
-Laplacian, its assembled diagonal included) so the two paths can be checked
-against each other.
+second way, by the same positive elimination with the vertex order reversed,
+so that the two orders can be checked against each other.
 
 This is the exact score oracle: about n^3/3 flops for the factor and m n for
 the resistances, intended for desk-scale instances. Approximate scores enter
@@ -24,7 +23,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import FactorizationError, ParameterError, check
-from .graphs import IncidenceFactors, WeightedGraph, _centre, _components, incidence_factors
+from .graphs import (
+    IncidenceFactors, WeightedGraph, _centre, _components, _edge_factors, incidence_factors
+)
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,8 @@ class SpectralProfile:
     pinv_factor     n x rank matrix H = F[row_map] centred per component, with
                     H H^T the Laplacian pseudoinverse, built on first read and
                     kept; the scaled incidence times H, never formed, is an
-                    orthonormal basis of its range. The scores and
-                    concentration_check read F instead, and solve_exact builds
-                    H for its one solve without keeping it
+                    orthonormal basis of its range. The scores,
+                    concentration_check and solve_exact read F instead
     """
 
     leverage: np.ndarray
@@ -57,15 +57,9 @@ class SpectralProfile:
 
     @functools.cached_property
     def pinv_factor(self) -> np.ndarray:
-        h = _pinv_factor(self)
-        h.setflags(write=False)
+        h = self.factor[self.row_map]
+        _centre(h, self.labels, out=h).setflags(write=False)
         return h
-
-
-def _pinv_factor(profile: SpectralProfile) -> np.ndarray:
-    """H = F[row_map] centred per component, built afresh on every call."""
-    h = profile.factor[profile.row_map]
-    return _centre(h, profile.labels, out=h)
 
 
 #: vertices eliminated per panel before one Schur update of the rest
@@ -149,13 +143,15 @@ def _eliminate(edges: IncidenceFactors) -> tuple:
     _PANEL: before panel K, one GEMM, a[K, K+] += (Y^T D) Y over every earlier
     row, Y <= 0 the finished rows of L^T (row rank, the grounds', included),
     gives it its current weights; within it, each vertex costs one sum and one
-    rank-1 update, its weight outside the panel being one extra column of p.
+    rank-1 update (dger), its weight outside the panel being one extra column
+    of p; the panel's last vertex keeps only that column, its pivot.
     Every product and triangular solve sums terms of one sign. A pivot that is
     not positive and finite raises FactorizationError.
     """
     labels, at, half, a = _grounded_weights(edges)
     rank = a.shape[1]
     ground = a[rank]
+    dger = scipy.linalg.blas.dger
     pivots = np.empty(rank)
     for k0 in range(0, rank, _PANEL):
         k1 = min(k0 + _PANEL, rank)
@@ -165,10 +161,13 @@ def _eliminate(edges: IncidenceFactors) -> tuple:
         p = np.empty((k1 - k0, k1 - k0 + 1))
         p[:, :-1] = a[k0:k1, k0:k1]
         p[:, -1] = a[k0:k1, k1:].sum(axis=1) + ground[k0:k1]
-        for k in range(k1 - k0):
-            row = p[k, k + 1 :]
-            pivot = pivots[k0 + k] = row.sum()
-            p[k + 1 :, k + 1 :] += row[:-1, None] * (row / pivot)
+        for k in range(k1 - k0 - 1):
+            row = p[k]
+            pivot = pivots[k0 + k] = np.add.reduce(row[k + 1 :])
+            # p[k+1:, k+1:] += row[k+1:-1, None] row[k+1:] / pivot, in place on the Fortran-
+            # ordered transpose of rows k+1:; what lands left of column k+1 is never read
+            dger(1.0 / pivot, row, row[k + 1 : -1], 1, 1, p.T[:, k + 1 :], 1, 1, 1)
+        pivots[k1 - 1] = p[-1, -1]
         # row k of p still holds the weights it was eliminated with
         block = np.triu(p[:, :-1], 1) / -pivots[k0:k1, None]
         np.fill_diagonal(block, 1.0)
@@ -217,6 +216,19 @@ def _grounded_solve(elimination: tuple, b: np.ndarray) -> tuple[np.ndarray, int]
     return _centre(x, labels), pivots.size
 
 
+def _factor_solve(profile: SpectralProfile, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """x = H H^T b, H the profile's pinv_factor, by two triangular products with F, two centrings.
+
+    F's ground row is zero, so H^T b = F[:rank]^T (b centred)[non-grounds].
+    """
+    rank, labels = profile.rank, profile.labels
+    keep, lower = profile.row_map < rank, profile.factor[:rank].T  # F^T, Fortran-ordered
+    y = scipy.linalg.blas.dtrmv(lower, _centre(b, labels)[keep], lower=1, overwrite_x=1)
+    x = np.zeros(b.size)
+    x[keep] = scipy.linalg.blas.dtrmv(lower, y, lower=1, trans=1, overwrite_x=1)
+    return _centre(x, labels, out=x), rank
+
+
 def _grounded_gram(elimination: tuple, f: np.ndarray, row_map: np.ndarray) -> np.ndarray:
     """H^T L H from ``_eliminate`` of L's edges and a profile's F and row map, in the upper triangle.
 
@@ -248,37 +260,22 @@ def _grounded_gram(elimination: tuple, f: np.ndarray, row_map: np.ndarray) -> np
 
 
 def effective_resistances(g: WeightedGraph | IncidenceFactors) -> np.ndarray:
-    """Per-edge effective resistances through the Cholesky inverse of the grounded Laplacian.
+    """Per-edge effective resistances from the positive elimination in reverse vertex order.
 
-    Independent of ``spectral_profile``: LAPACK factors the grounded
-    Laplacian of ``_grounded_weights``, assembled diagonal included, and
-    inverts it in place (dpotrf, dpotri). With X that inverse, zero at the
-    grounds, edge (u, v) has resistance X[u,u] + X[v,v] - 2 X[u,v], the same
-    as through L^+. The weights' scaling by 2**(-2h) commutes exactly with
-    both LAPACK steps and is undone on the result. The subtraction loses
-    accuracy as the weights spread, so this route is a cross-check, not the
-    oracle. Takes a graph or its incidence factors.
+    The resistances of ``spectral_profile`` run on the same edges with vertex
+    v relabelled n - 1 - v: each component is grounded at its last vertex and
+    eliminated from the other end, so the round-off path differs while every
+    step still sums positive terms. Against the profile's own resistances
+    this is an order-independence check; like the profile it raises
+    FactorizationError past float64's range. Takes a graph or its incidence
+    factors.
     """
     factors = g if isinstance(g, IncidenceFactors) else incidence_factors(g)
     if factors.m == 0:
         return np.zeros(0)
-    _, at, half, a = _grounded_weights(factors)
-    rank = a.shape[1]
-    grounded = -a[:rank].T  # Fortran-ordered; its lower triangle holds the edges
-    np.fill_diagonal(grounded, a[:rank].sum(axis=1) + a[:rank].sum(axis=0) + a[rank])
-    factor, info = scipy.linalg.lapack.dpotrf(grounded, lower=1, overwrite_a=1)
-    if info or not np.all(np.isfinite(factor.diagonal())):
-        raise FactorizationError(f"Cholesky of the {rank}x{rank} grounded Laplacian failed")
-    inverse, info = scipy.linalg.lapack.dpotri(factor, lower=1, overwrite_c=1)
-    if info:
-        raise FactorizationError(f"inverting the {rank}x{rank} grounded Laplacian failed")
-    # hi > lo is never a ground (each component's first vertex is), so X[hi, lo]
-    # sits in the lower triangle dpotri returns; when lo is a ground, X[lo] is zero
-    keep = at < rank
-    i, j = np.cumsum(keep)[factors.lo] - 1, at[factors.hi]
-    diag = inverse.diagonal()
-    scaled = np.where(keep[factors.lo], diag[i] - 2.0 * inverse[j, i], 0.0) + diag[j]
-    return np.ldexp(scaled, -2 * half)
+    last = factors.n - 1
+    flipped = _edge_factors(factors.n, last - factors.hi, last - factors.lo, factors.weights)
+    return spectral_profile(flipped).resistance
 
 
 #: slack for validating supplied probabilities against the leverage floor

@@ -19,10 +19,7 @@ def tri_file(tmp_path):
 
 
 def bridged_triangles(tmp_path, bridge):
-    """Two unit triangles joined by one edge, whose resistance is 1/bridge.
-
-    The pseudoinverse route loses that resistance as the bridge weight shrinks.
-    """
+    """Two unit triangles joined by one edge, whose resistance is 1/bridge."""
     target = tmp_path / "bridge.txt"
     with open(target, "w", encoding="utf-8") as fh:
         rs.save_graph(conftest.bridged_triangles(bridge), fh)
@@ -144,20 +141,36 @@ class TestExitCodes:
         assert "numerical failure" in err
 
     @pytest.mark.parametrize(
-        "bridge, code", [(1.0, 0), (1e-6, 0), (1e-10, 2), (1e-18, 2)]
+        "bridge, code",
+        [(1.0, 0), (1e-6, 0), (1e-10, 0), (1e-18, 0), (1e-100, 0), (1e-300, 0), (1e-310, 2)],
     )
     def test_resistance_refuses_failed_cross_check(self, tmp_path, capsys, bridge, code):
+        # both routes are positive eliminations, so the bridge resolves as far
+        # as leverage resolves it; at 1e-310 its resistance overflows and the
+        # scores are refused (Foster's sum misses the rank) before any cross-check
         got, out, err = run(
             capsys, "resistance", "--graph", bridged_triangles(tmp_path, bridge)
         )
         assert got == code
         if code == 0:
             results = json.loads(out)["results"]
-            assert results["lemma_max_relerr"] <= 1e-8
-            assert results["resistance"][-1] == pytest.approx(1.0 / bridge, rel=1e-8)
+            assert results["lemma_max_relerr"] <= 1e-14
+            assert results["resistance"][-1] == pytest.approx(1.0 / bridge, rel=1e-14, abs=0)
         else:
             assert out == ""
-            assert "numerical failure" in err and "leverage route" in err
+            assert "numerical failure" in err and "rank" in err
+
+    @pytest.mark.parametrize("fault", ["gap", "unfactorable"])
+    def test_resistance_refuses_disagreeing_routes(self, tri_file, capsys, monkeypatch, fault):
+        # a second route off by a factor of two, or one that cannot be factored
+        # (gap inf): resistance prints nothing and exits 2
+        from resist_sketch import harness
+
+        monkeypatch.setattr(harness, "effective_resistances", _faulty_routes[fault])
+        code, out, err = run(capsys, "resistance", "--graph", tri_file)
+        assert code == 2
+        assert out == ""
+        assert "numerical failure" in err and "leverage route" in err
 
     def test_lost_bridge_exits_2(self, tmp_path, capsys):
         # at weight 1e-310 the bridge's resistance overflows float64; leverage
@@ -179,19 +192,13 @@ class TestExitCodes:
         code, out, _ = run(capsys, mode, "--graph", str(star), "--trials", "2")
         assert code == 0
         assert json.loads(out)["mode"] == mode
-        # a 1e-18 bridge: the scores, the draw, the sparsified solve and the
-        # concentration check resolve it; only the grounded Cholesky behind
-        # resistance's cross-check loses it and refuses (exit 2), never exit 1
-        # or an uncaught exception
-        code, out, err = run(
+        # a 1e-18 bridge: the scores, the cross-check, the draw, the sparsified
+        # solve and the concentration check all resolve it
+        code, out, _ = run(
             capsys, mode, "--graph", bridged_triangles(tmp_path, 1e-18), "--trials", "2"
         )
-        if mode == "resistance":
-            assert code == 2
-            assert out == "" and "numerical failure" in err
-        else:
-            assert code == 0
-            assert json.loads(out)["mode"] == mode
+        assert code == 0
+        assert json.loads(out)["mode"] == mode
 
     @pytest.mark.parametrize("bridge", [1e-16, 1e-18, 1e-100])
     def test_faint_bridge_sparsified_solve(self, tmp_path, capsys, bridge):
@@ -271,25 +278,42 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and "numerical failure" in err and "trace" in err
 
-    def test_verify_only_reports_failed_cross_check(self, tmp_path, capsys):
+    def test_verify_only_reports_failed_cross_check(self, tmp_path, capsys, monkeypatch):
+        from resist_sketch import harness
+
+        monkeypatch.setattr(harness, "effective_resistances", _faulty_routes["gap"])
         code, out, _ = run(
             capsys, "verify", "--graph", bridged_triangles(tmp_path, 1e-10),
             "--trials", "2",
         )
         assert code == 0
-        assert json.loads(out)["results"]["lemma_max_relerr"] > 1e-8
+        assert json.loads(out)["results"]["lemma_max_relerr"] == pytest.approx(1.0)
 
-    def test_verify_reports_unfactorable_cross_check_as_null(self, tmp_path, capsys):
-        # at 1e-18 the grounded Cholesky inverse cannot be factored: the gap
-        # is inf, null in JSON. One draw per trial leaves each sparsified
-        # system a single edge, a rank shortfall that the solve and the check
-        # finish from the same elimination as a full-rank draw.
+    def test_verify_reports_unfactorable_cross_check_as_null(self, tmp_path, capsys, monkeypatch):
+        # a second route that cannot be factored: the gap is inf, null in
+        # JSON. One draw per trial leaves each sparsified system a single
+        # edge, a rank shortfall that the solve and the check finish from the
+        # same elimination as a full-rank draw.
+        from resist_sketch import harness
+
+        monkeypatch.setattr(harness, "effective_resistances", _faulty_routes["unfactorable"])
         code, out, _ = run(
             capsys, "verify", "--graph", bridged_triangles(tmp_path, 1e-18),
             "--trials", "2", "--r-override", "1",
         )
         assert code == 0
         assert json.loads(out)["results"]["lemma_max_relerr"] is None
+
+
+def _unfactorable(factors):
+    raise rs.FactorizationError("forced")
+
+
+#: stand-ins for the second resistance route: off by a factor of two, or refusing
+_faulty_routes = {
+    "gap": lambda factors: 2.0 * rs.effective_resistances(factors),
+    "unfactorable": _unfactorable,
+}
 
 
 def test_cli_determinism(tri_file, tmp_path, capsys):
@@ -310,7 +334,7 @@ def test_cli_determinism(tri_file, tmp_path, capsys):
 
 _SUMMARIES = {
     "leverage": "Per-edge leverage scores, resistances, and sampling probabilities.",
-    "resistance": "Effective resistances via the grounded Cholesky inverse, with cross-check.",
+    "resistance": "Effective resistances by a reverse-order elimination, with cross-check.",
     "sparsify": "Draw one sparsifier and report its size and concentration deviation.",
     "solve": "Solve the exact and sparsified systems once and compare them.",
     "verify": "Monte Carlo check of the accuracy and concentration guarantees.",

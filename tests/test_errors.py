@@ -133,8 +133,19 @@ class TestNumericalFailure:
         with pytest.raises(rs.FactorizationError, match="pivot 0 of the rank-2 grounded"):
             rs.solve_sparsified(system, np.array([1.0, 0.0, -1.0]))
 
-    @pytest.mark.parametrize("name", ["dpotrf", "dpotri"])
-    def test_failing_inverse_raises(self, monkeypatch, name):
-        _failing(monkeypatch, name)
-        with pytest.raises(rs.FactorizationError, match="3x3 grounded"):
+    @pytest.mark.parametrize("fault", ["pivot", "dtrtri"])
+    def test_failing_inverse_raises(self, monkeypatch, fault):
+        # the reverse-order elimination refuses as the profile's does: a
+        # forced zero pivot, or a triangular inverse that fails
+        if fault == "pivot":
+            weights = spectral._grounded_weights
+
+            def zeroed(*args):
+                labels, at, half, a = weights(*args)
+                return labels, at, half, 0.0 * a
+
+            monkeypatch.setattr(spectral, "_grounded_weights", zeroed)
+        else:
+            _failing(monkeypatch, fault)
+        with pytest.raises(rs.FactorizationError, match="rank-3"):
             rs.effective_resistances(rs.path(4))

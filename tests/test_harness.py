@@ -309,8 +309,8 @@ class TestRunReport:
 
     @pytest.mark.parametrize("mode", rs.harness.MODES)
     def test_profile_keeps_no_pinv_factor(self, graph_file, triangle, monkeypatch, mode):
-        # the scores and the check read F; H is built only when pinv_factor is
-        # read, and the exact solve builds it for its one product without keeping it
+        # the scores, the check and the exact solve read F; H is built only when
+        # pinv_factor is read
         from resist_sketch import harness
 
         made = []

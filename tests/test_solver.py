@@ -52,6 +52,18 @@ class TestSolveExact:
                     via_matrix.residual_two_norm, rel=1e-12, abs=1e-14
                 )
 
+    @given(weighted_graphs())
+    @settings(max_examples=30, deadline=None)
+    def test_profile_route_reads_f(self, g):
+        # x comes from F by two triangular products, H never formed; on any
+        # components it is H (H^T b) for the profile's H
+        prof = profile_of(g)
+        b = np.random.default_rng(g.n).standard_normal(g.n)
+        h = prof.pinv_factor
+        expected = h @ (h.T @ b)
+        x = rs.solve_exact(rs.incidence_factors(g), b, profile=prof).x
+        np.testing.assert_allclose(x, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
     def test_matches_eigendecomposition_oracle(self):
         rng = np.random.default_rng(15)
         for _ in range(8):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 
 import resist_sketch as rs
 from resist_sketch import spectral
+from resist_sketch.graphs import _centre
 from conftest import bridged_triangles, connected_graphs, weighted_graphs
 from oracles import (
     dense_laplacian,
@@ -95,7 +96,7 @@ class TestSpectralProfile:
         assert "pinv_factor" not in vars(prof)
         h = prof.pinv_factor
         assert prof.pinv_factor is h and not h.flags.writeable
-        np.testing.assert_array_equal(h, spectral._pinv_factor(prof))
+        np.testing.assert_array_equal(h, _centre(prof.factor[prof.row_map], prof.labels))
 
 
 def _wide_weight_graph(seed, span):
@@ -132,6 +133,17 @@ def _interleaved_components(seed, span=8):
     mantissa, exponent = np.frexp(10.0 ** rng.uniform(-span, span, size=len(edges)))
     weights = np.ldexp(np.round(mantissa * 256) / 256, exponent)
     return rs.WeightedGraph(70, [(u, v, float(w)) for (u, v), w in zip(edges, weights)])
+
+
+def _rounded_connected(n, seed, span=1):
+    """Connected graph on n vertices: a random tree plus n more edges, weighted as above."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    pairs = [(order[rng.integers(k)], order[k]) for k in range(1, n)]
+    pairs += [rng.choice(n, size=2, replace=False) for _ in range(n)]
+    mantissa, exponent = np.frexp(10.0 ** rng.uniform(-span, span, size=len(pairs)))
+    weights = np.ldexp(np.round(mantissa * 256) / 256, exponent)
+    return rs.WeightedGraph(n, [(int(u), int(v), float(w)) for (u, v), w in zip(pairs, weights)])
 
 
 _SPANS = [(8, 1e-13), (12, 1e-13), (16, 1e-12)]
@@ -171,18 +183,30 @@ class TestExactResistances:
     def test_two_components_at_the_real_panel(self):
         # rank 68: every panel of 32 after the first takes the GEMM of all the
         # earlier ones, with both components in each panel; each is checked
-        # against its own exact resistances
+        # against its own exact resistances, in both vertex orders (the
+        # reverse one grounds each component at its last vertex)
         g = _interleaved_components(0)
         prof = profile_of(g)
         assert prof.rank == 68 >= 2 * spectral._PANEL + 1
+        routes = (prof.resistance, rs.effective_resistances(g))
         for part in (0, 1):
             mine = [i for i, (u, _, _) in enumerate(g.edges) if u % 2 == part]
             component = rs.WeightedGraph(
                 35, [(u // 2, v // 2, w) for u, v, w in (g.edges[i] for i in mine)]
             )
-            np.testing.assert_allclose(
-                prof.resistance[mine], resistances_exact(component), rtol=1e-13
-            )
+            exact = resistances_exact(component)
+            for resistance in routes:
+                np.testing.assert_allclose(resistance[mine], exact, rtol=1e-13)
+
+    @pytest.mark.parametrize("rank", [33, 64])
+    def test_panel_edges(self, rank):
+        # rank 33 leaves the last panel one vertex, which keeps only its pivot;
+        # rank 64 fills its two panels exactly
+        assert rank % spectral._PANEL in (0, 1)
+        g = _rounded_connected(rank + 1, rank)
+        exact = resistances_exact(g)
+        np.testing.assert_allclose(profile_of(g).resistance, exact, rtol=1e-13)
+        np.testing.assert_allclose(rs.effective_resistances(g), exact, rtol=1e-13)
 
     @pytest.mark.parametrize("k", [-40, -1, 3, 100])
     def test_power_of_four_scaling_is_exact(self, k):
@@ -257,8 +281,7 @@ class TestEffectiveResistances:
 
     @pytest.mark.parametrize("span, tol", [(4, 1e-11), (8, 1e-7), (12, 1e-3)])
     def test_wide_weight_spans(self, span, tol):
-        # the grounded inverse subtracts on an assembled diagonal, so it loses
-        # digits as the span grows
+        # the worst errors read about 1e-15 at these spans, as the profile's do
         assert _worst_span_error(span, rs.effective_resistances) <= tol
 
     def test_isolated_vertex_and_components(self):
@@ -282,9 +305,12 @@ class TestEffectiveResistances:
         np.testing.assert_allclose(rs.effective_resistances(g) * weight, 0.5, rtol=1e-14)
 
     def test_unfactorable_bridge_refused(self):
-        # at 1e-18 the bridge vanishes from the assembled diagonal 2 + 1e-18
-        with pytest.raises(rs.FactorizationError, match="5x5 grounded"):
-            rs.effective_resistances(bridged_triangles(1e-18))
+        # the reverse-order elimination resolves a 1e-18 bridge as the profile
+        # does; at 1e-310 its resistance overflows and it is refused
+        resistance = rs.effective_resistances(bridged_triangles(1e-18))
+        assert resistance[-1] == pytest.approx(1e18, rel=1e-14, abs=0)
+        with pytest.raises(rs.FactorizationError, match="rank"):
+            rs.effective_resistances(bridged_triangles(1e-310))
 
     def test_matches_eig_oracle(self):
         rng = np.random.default_rng(8)
@@ -302,7 +328,7 @@ class TestEffectiveResistances:
     def test_leverage_is_weight_times_resistance(self, g):
         prof = profile_of(g)
         wr = g.weights() * rs.effective_resistances(g)
-        assert np.max(np.abs(prof.leverage - wr) / prof.leverage) <= 1e-8
+        assert np.max(np.abs(prof.leverage - wr) / prof.leverage) <= 1e-14
 
 
 class TestLeverageProbabilities:
