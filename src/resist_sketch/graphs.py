@@ -193,15 +193,12 @@ def _components(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _centre(v: np.ndarray, labels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """v minus the mean of its rows over each component (labels from _components), into out.
+    """Vector v minus its mean over each component (labels from _components), into out.
 
-    Each component's rows are summed in vertex order, by bincount for a vector.
+    Each component's entries are summed in vertex order, by bincount.
     """
-    sizes = np.bincount(labels)
-    if v.ndim == 1:
-        return np.subtract(v, (np.bincount(labels, v) / sizes)[labels], out=out)
-    member = sparse.csr_matrix((np.ones(labels.size), (labels, np.arange(labels.size))))
-    return np.subtract(v, (member @ v / sizes[:, None])[labels], out=out)
+    means = np.bincount(labels, v) / np.bincount(labels)
+    return np.subtract(v, means[labels], out=out)
 
 
 def component_count(g: WeightedGraph) -> int:

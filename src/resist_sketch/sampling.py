@@ -118,7 +118,8 @@ def sample_count(n: int, epsilon: float, beta: float = 1.0, c0: float = 1.0) -> 
 
     Evaluates ceil(2 x ln x) with x = 36 c0^2 n / (beta epsilon). The rule is
     deliberately not capped at the edge count: sampling with replacement past
-    m keeps the guarantee, and at small n the count routinely exceeds m.
+    m keeps the guarantee, and at small n the count routinely exceeds m. A
+    count past float64's range raises ParameterError.
     """
     if n < 1:
         raise ParameterError(f"vertex count must be positive, got {n}")
@@ -128,7 +129,10 @@ def sample_count(n: int, epsilon: float, beta: float = 1.0, c0: float = 1.0) -> 
         raise ParameterError(
             f"sample-count rule needs 36 c0^2 n / (beta epsilon) > 1, got {x!r}"
         )
-    return math.ceil(2.0 * x * math.log(x))
+    count = 2.0 * x * math.log(x)
+    if not math.isfinite(count):
+        raise ParameterError(f"sample-count rule overflows: 2 x ln x is {count!r} at x = {x!r}")
+    return math.ceil(count)
 
 
 def draw_counts(plan: SamplingPlan) -> np.ndarray:
@@ -173,7 +177,7 @@ def build_sparsifier(factors: IncidenceFactors, plan: SamplingPlan) -> Sparsifie
 def concentration_check(profile: SpectralProfile, system: SparsifiedSystem) -> float:
     """Spectral-norm deviation of the sparsifier's sampled Gram matrix from identity.
 
-    With Phi the scaled incidence and H = profile.pinv_factor, U = Phi H is an
+    With Phi the scaled incidence and H = F[row_map] centred, U = Phi H is an
     orthonormal basis of Phi's range, and with D the rescalings c_i / (r p_i)
     the sampled Gram matrix U^T D U is G = H^T L' H, L' = Phi^T D Phi the
     sparsifier's Laplacian. It is finished from system.elimination and the

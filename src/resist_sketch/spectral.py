@@ -15,7 +15,6 @@ approximation algorithm lives here.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -41,11 +40,10 @@ class SpectralProfile:
     row_map         each vertex's row of F: the i-th non-ground's is i, every
                     ground's is rank
     labels          component labels of the vertices (graphs._components)
-    pinv_factor     n x rank matrix H = F[row_map] centred per component, with
-                    H H^T the Laplacian pseudoinverse, built on first read and
-                    kept; the scaled incidence times H, never formed, is an
-                    orthonormal basis of its range. The scores,
-                    concentration_check and solve_exact read F instead
+
+    H = F[row_map] centred per component has H H^T = L^+, and the scaled
+    incidence times H is an orthonormal basis of its range. Nothing forms H:
+    the scores, concentration_check and solve_exact read F, row_map, labels.
     """
 
     leverage: np.ndarray
@@ -54,12 +52,6 @@ class SpectralProfile:
     factor: np.ndarray
     row_map: np.ndarray
     labels: np.ndarray
-
-    @functools.cached_property
-    def pinv_factor(self) -> np.ndarray:
-        h = self.factor[self.row_map]
-        _centre(h, self.labels, out=h).setflags(write=False)
-        return h
 
 
 #: vertices eliminated per panel before one Schur update of the rest
@@ -217,9 +209,10 @@ def _grounded_solve(elimination: tuple, b: np.ndarray) -> tuple[np.ndarray, int]
 
 
 def _factor_solve(profile: SpectralProfile, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """x = H H^T b, H the profile's pinv_factor, by two triangular products with F, two centrings.
+    """x = L^+ b from the profile's F, row map and labels: two triangular products, two centrings.
 
-    F's ground row is zero, so H^T b = F[:rank]^T (b centred)[non-grounds].
+    L^+ = H H^T, H = F[row_map] centred per component, and F's ground row is
+    zero, so H^T b = F[:rank]^T (b centred)[non-grounds].
     """
     rank, labels = profile.rank, profile.labels
     keep, lower = profile.row_map < rank, profile.factor[:rank].T  # F^T, Fortran-ordered

@@ -39,6 +39,19 @@ def dense_laplacian(g: WeightedGraph) -> np.ndarray:
     return L
 
 
+def pinv_factor(profile) -> np.ndarray:
+    """The n x rank factor H, H H^T = L^+, of a SpectralProfile: F[row_map] centred per component.
+
+    Not an independent route: H is a view of the profile's own F, rebuilt
+    here with plain numpy so tests can check F against the oracles above.
+    """
+    h = profile.factor[profile.row_map]
+    for label in np.unique(profile.labels):
+        rows = profile.labels == label
+        h[rows] -= h[rows].mean(axis=0)
+    return h
+
+
 #: widest weight ratio at which resistances_by_eig's eigenvalue cut still holds
 _EIG_MAX_SPAN = 1e8
 

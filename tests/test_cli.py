@@ -124,6 +124,16 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err.lower()
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--c0", "inf"), ("--c0", "1e200"), ("--epsilon", "1e-320"), ("--beta", "1e-320")],
+    )
+    def test_overflowing_sample_count(self, tri_file, capsys, option, value):
+        # in range for click, but 2 x ln x of the sample-count rule overflows float64
+        code, _, err = run(capsys, "verify", "--graph", tri_file, "--trials", "1", option, value)
+        assert code == 1
+        assert err.startswith("error:") and "overflows" in err
+
     def test_rhs_length_mismatch(self, tri_file, tmp_path, capsys):
         b_path = tmp_path / "b.txt"
         b_path.write_text("1.0\n2.0\n", encoding="utf-8")

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -52,14 +53,32 @@ class TestSampleCount:
         with pytest.raises(rs.ParameterError):
             rs.sample_count(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(c0=math.inf),
+            dict(c0=1e200),  # c0^2 overflows
+            dict(c0=1e152),  # x is finite, 2 x ln x is not
+            dict(epsilon=1e-320),
+            dict(beta=1e-320),
+        ],
+    )
+    def test_overflowing_count_refused(self, kwargs):
+        with pytest.raises(rs.ParameterError, match="overflows"):
+            rs.sample_count(**{"n": 3, "epsilon": 0.5, **kwargs})
+
+    def test_finite_count_past_int64_left_to_the_plan(self):
+        r = rs.sample_count(3, 0.5, c0=1e150)
+        assert r >= 2**63
+        with pytest.raises(rs.ParameterError, match=r"below 2\*\*63"):
+            plan_for(rs.complete(3), r=r)
+
     @given(
         st.integers(min_value=2, max_value=500),
         st.floats(min_value=0.01, max_value=0.99),
     )
     @settings(max_examples=80, deadline=None)
     def test_formula(self, n, epsilon):
-        import math
-
         x = 36.0 * n / epsilon
         assert rs.sample_count(n, epsilon) == math.ceil(2.0 * x * math.log(x))
 

@@ -6,12 +6,12 @@ from hypothesis import example, given, settings
 
 import resist_sketch as rs
 from resist_sketch import spectral
-from resist_sketch.graphs import _centre
 from conftest import bridged_triangles, connected_graphs, weighted_graphs
 from oracles import (
     dense_laplacian,
     eig_pinv,
     leverage_by_qr,
+    pinv_factor,
     resistances_by_eig,
     resistances_exact,
 )
@@ -63,7 +63,7 @@ class TestSpectralProfile:
         assert np.all(prof.leverage <= 1.0 + 1e-12)
         assert abs(prof.leverage.sum() - prof.rank) <= 1e-8
         assert prof.rank == g.n - rs.component_count(g)
-        h = prof.pinv_factor
+        h = pinv_factor(prof)
         lap = dense_laplacian(g)
         assert np.linalg.norm(h.T @ lap @ h - np.eye(prof.rank)) <= 1e-10
         lp = eig_pinv(lap)
@@ -89,14 +89,6 @@ class TestSpectralProfile:
             value = getattr(prof, field.name)
             if isinstance(value, np.ndarray) and value.ndim == 2:
                 assert value.shape[0] != g.m or value.shape[1] <= 1, field.name
-
-
-    def test_pinv_factor_built_on_first_read(self):
-        prof = profile_of(rs.complete(6))
-        assert "pinv_factor" not in vars(prof)
-        h = prof.pinv_factor
-        assert prof.pinv_factor is h and not h.flags.writeable
-        np.testing.assert_array_equal(h, _centre(prof.factor[prof.row_map], prof.labels))
 
 
 def _wide_weight_graph(seed, span):
@@ -218,7 +210,7 @@ class TestExactResistances:
         scaled = profile_of(rs.WeightedGraph._from_arrays(g.n, u, v, np.ldexp(w, 2 * k)))
         np.testing.assert_array_equal(scaled.resistance, np.ldexp(prof.resistance, -2 * k))
         np.testing.assert_array_equal(scaled.leverage, prof.leverage)
-        np.testing.assert_array_equal(scaled.pinv_factor, np.ldexp(prof.pinv_factor, -k))
+        np.testing.assert_array_equal(scaled.factor, np.ldexp(prof.factor, -k))
 
     @pytest.mark.parametrize("g", [_three_components(), _interleaved_components(2)])
     def test_trimmed_sums_match_full_width(self, g):
@@ -279,9 +271,8 @@ class TestEffectiveResistances:
             rs.effective_resistances(triangle), 2.0 / 3.0, atol=1e-12
         )
 
-    @pytest.mark.parametrize("span, tol", [(4, 1e-11), (8, 1e-7), (12, 1e-3)])
+    @pytest.mark.parametrize("span, tol", [(4, 1e-13)] + _SPANS)
     def test_wide_weight_spans(self, span, tol):
-        # the worst errors read about 1e-15 at these spans, as the profile's do
         assert _worst_span_error(span, rs.effective_resistances) <= tol
 
     def test_isolated_vertex_and_components(self):
