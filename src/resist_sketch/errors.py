@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from numbers import Integral
 
 #: seeds are unsigned 64-bit integers: 0 <= seed < SEED_BOUND
@@ -41,12 +42,25 @@ _DOMAINS = {
 }
 
 
+class _Rounded(str):
+    """An integer's 4-digit e-form, the same under {} and {!r}."""
+
+    __repr__ = str.__str__
+
+
+def _shown(value):
+    """The value, or an integer of more than 20 digits as e.g. 2.013e+205."""
+    if isinstance(value, Integral) and abs(value) >= 10**20:
+        return _Rounded(format(Decimal(int(value)), ".3e"))
+    return value
+
+
 def check(**values) -> None:
     """Raise ParameterError for the first value outside its parameter's domain."""
     for name, value in values.items():
         accepts, message = _DOMAINS[name]
         if not accepts(value):
-            raise ParameterError(message.format(value))
+            raise ParameterError(message.format(_shown(value)))
 
 
 class FactorizationError(RuntimeError):

@@ -7,8 +7,9 @@ edge weight gives the effective resistance, which this module also computes a
 second way, by the same positive elimination with the vertex order reversed,
 so that the two orders can be checked against each other.
 
-This is the exact score oracle: about n^3/3 flops for the factor and m n for
-the resistances, intended for desk-scale instances. Approximate scores enter
+This is the exact score oracle, intended for desk-scale instances: about
+n^3/3 flops of GEMM for the factor, n^3/3 more of dtrmm and dtrtri for its
+triangular inverse, and m n for the resistances. Approximate scores enter
 only through the ``beta`` slack of ``leverage_probabilities``; no
 approximation algorithm lives here.
 """
@@ -56,6 +57,8 @@ class SpectralProfile:
 
 #: vertices eliminated per panel before one Schur update of the rest
 _PANEL = 32
+#: largest triangle that one dtrtri inverts; larger ones are split in halves
+_TRTRI_ORDER = 64
 #: bytes of edge differences per resistance chunk: cache-sized, so the buffers are reused
 _EDGE_CHUNK_BYTES = 1 << 18
 
@@ -82,14 +85,16 @@ def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
         u, v = at[factors.lo], at[factors.hi]
         first = np.minimum(u, v)  # row u of F is zero left of column u, the grounds' row everywhere
         order = np.argsort(first)
+        first, last = first[order], np.maximum(u, v)[order]
         resistance = np.empty(factors.m)
         start = 0
         while start < factors.m:
-            c = first[order[start]]
-            edges = order[start : start + max(1, _EDGE_CHUNK_BYTES // (8 * (rank - c)))]
-            diffs = f[u[edges], c:] - f[v[edges], c:]
-            resistance[edges] = np.einsum("ij,ij->i", diffs, diffs)
-            start += edges.size
+            c = first[start]
+            stop = start + max(1, _EDGE_CHUNK_BYTES // (8 * (rank - c)))
+            diffs = f[first[start:stop], c:]
+            diffs -= f[last[start:stop], c:]
+            resistance[order[start:stop]] = np.einsum("ij,ij->i", diffs, diffs)
+            start = stop
         leverage = factors.weights * resistance
         total = float(leverage.sum())
     if not abs(total - rank) <= 1e-8 * rank:  # Foster: leverage sums to the rank
@@ -136,9 +141,11 @@ def _eliminate(edges: IncidenceFactors) -> tuple:
     row, Y <= 0 the finished rows of L^T (row rank, the grounds', included),
     gives it its current weights; within it, each vertex costs one sum and one
     rank-1 update (dger), its weight outside the panel being one extra column
-    of p; the panel's last vertex keeps only that column, its pivot.
-    Every product and triangular solve sums terms of one sign. A pivot that is
-    not positive and finite raises FactorizationError.
+    of p; the panel's last vertex keeps only that column, its pivot. Then the
+    panel's inverse block, W = L_KK^-1 / -D_K by one small dtrtri, takes its
+    weights to the rest of its rows of L^T by one GEMM. Every product sums
+    terms of one sign. A pivot that is not positive and finite raises
+    FactorizationError.
     """
     labels, at, half, a = _grounded_weights(edges)
     rank = a.shape[1]
@@ -164,13 +171,12 @@ def _eliminate(edges: IncidenceFactors) -> tuple:
         block = np.triu(p[:, :-1], 1) / -pivots[k0:k1, None]
         np.fill_diagonal(block, 1.0)
         a[k0:k1, k0:k1] = block
-        z = np.empty((k1 - k0, rank + 1 - k1))
-        z[:, :-1] = a[k0:k1, k1:]
-        z[:, -1] = ground[k0:k1]
-        # Z = L_KK^-1 z in place, as Z^T = z^T L_KK^-T: both transposes are Fortran-ordered
-        scipy.linalg.blas.dtrsm(1.0, block.T, z.T, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1)
-        np.divide(z[:, :-1], -pivots[k0:k1, None], out=a[k0:k1, k1:])
-        ground[k0:k1] = z[:, -1] / -pivots[k0:k1]
+        # W = L_KK^-1 / -D_K <= 0, L_KK = block^T inverted in place (a unit triangle always
+        # inverts), takes the panel's weights to its rows of L^T
+        scipy.linalg.lapack.dtrtri(block.T, lower=1, unitdiag=1, overwrite_c=1)
+        w = block.T / -pivots[k0:k1, None]
+        a[k0:k1, k1:] = w @ a[k0:k1, k1:]
+        ground[k0:k1] = w @ ground[k0:k1]
     bad = np.flatnonzero(~(np.isfinite(pivots) & (pivots > 0.0)))
     if bad.size:
         raise FactorizationError(
@@ -181,19 +187,42 @@ def _eliminate(edges: IncidenceFactors) -> tuple:
 
 
 def _grounded_factor(elimination: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels, row map and F = L^-T D^-1/2 2**-h, by dtrtri in place of the elimination's a.
+    """Labels, row map and F = L^-T D^-1/2 2**-h, in place of the elimination's a.
 
-    Row rank is zeroed for the grounds, so row at[v] of F is vertex v's.
+    L^T is inverted by ``_invert_unit_upper``, n^3/3 flops of dtrmm and dtrtri,
+    and row rank is zeroed for the grounds, so row at[v] of F is vertex v's.
     """
     labels, at, half, a, pivots = elimination
     rank = pivots.size
     a[rank] = 0.0
-    # L^T, upper, is a[:rank]; its transpose is lower and Fortran-ordered, inverted in place
-    _, info = scipy.linalg.lapack.dtrtri(a[:rank].T, lower=1, unitdiag=1, overwrite_c=1)
-    if info:
+    if not _invert_unit_upper(a[:rank]):
         raise FactorizationError(f"inverting the rank-{rank} triangular factor failed")
     a *= np.ldexp(1.0 / np.sqrt(pivots), -half)
     return labels, at, a
+
+
+def _invert_unit_upper(u: np.ndarray) -> bool:
+    """Invert the unit upper-triangular u, <= 0 off its diagonal, in place; False if dtrtri fails.
+
+    [[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]]: the halves recurse
+    down to blocks of _TRTRI_ORDER, which dtrtri inverts, and the corner is two
+    dtrmm on Fortran-ordered copies of the blocks. A^-1, C^-1 >= 0 and B <= 0,
+    so every sum has terms of one sign.
+    """
+    n = u.shape[0]
+    if n <= _TRTRI_ORDER:
+        # u^T is lower and Fortran-ordered; dtrtri inverts a block of a larger u in a copy
+        inverse, info = scipy.linalg.lapack.dtrtri(u.T, lower=1, unitdiag=1, overwrite_c=1)
+        u[...] = inverse.T
+        return info == 0
+    h = n // 2
+    if not (_invert_unit_upper(u[:h, :h]) and _invert_unit_upper(u[h:, h:])):
+        return False
+    dtrmm = scipy.linalg.blas.dtrmm
+    # the corner's transpose, -C^-T B^T A^-T
+    corner = dtrmm(-1.0, u[h:, h:].T, u[:h, h:].T, lower=1, diag=1)
+    u[:h, h:] = dtrmm(1.0, u[:h, :h].T, corner, side=1, lower=1, diag=1, overwrite_b=1).T
+    return True
 
 
 def _grounded_solve(elimination: tuple, b: np.ndarray) -> tuple[np.ndarray, int]:

@@ -134,6 +134,14 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and "overflows" in err
 
+    def test_refused_sample_count_stays_short(self, tri_file, capsys):
+        # a finite count of about 2.0e205 is refused by the plan's r rule without
+        # printing all of its 206 digits
+        code, _, err = run(capsys, "verify", "--graph", tri_file, "--trials", "1", "--c0", "1e100")
+        assert code == 1
+        assert err.startswith("error: sample count must be a positive integer below 2**63, got ")
+        assert "e+205" in err and len(err) < 200
+
     def test_rhs_length_mismatch(self, tri_file, tmp_path, capsys):
         b_path = tmp_path / "b.txt"
         b_path.write_text("1.0\n2.0\n", encoding="utf-8")

@@ -133,10 +133,18 @@ class TestNumericalFailure:
         with pytest.raises(rs.FactorizationError, match="pivot 0 of the rank-2 grounded"):
             rs.solve_sparsified(system, np.array([1.0, 0.0, -1.0]))
 
-    @pytest.mark.parametrize("fault", ["pivot", "dtrtri"])
-    def test_failing_inverse_raises(self, monkeypatch, fault):
+    @pytest.mark.parametrize(
+        "fault, n",
+        [
+            pytest.param("pivot", 4, id="pivot"),
+            pytest.param("dtrtri", 4, id="dtrtri"),
+            pytest.param("dtrtri", 101, id="dtrtri-by-halves"),
+        ],
+    )
+    def test_failing_inverse_raises(self, monkeypatch, fault, n):
         # the reverse-order elimination refuses as the profile's does: a
-        # forced zero pivot, or a triangular inverse that fails
+        # forced zero pivot, or a triangular inverse that fails, also when the
+        # rank-100 triangle is inverted by halves and one of its blocks fails
         if fault == "pivot":
             weights = spectral._grounded_weights
 
@@ -147,5 +155,7 @@ class TestNumericalFailure:
             monkeypatch.setattr(spectral, "_grounded_weights", zeroed)
         else:
             _failing(monkeypatch, fault)
-        with pytest.raises(rs.FactorizationError, match="rank-3"):
-            rs.effective_resistances(rs.path(4))
+        if n == 101:
+            assert n - 1 > spectral._TRTRI_ORDER  # the triangle is split
+        with pytest.raises(rs.FactorizationError, match=f"rank-{n - 1}"):
+            rs.effective_resistances(rs.path(n))

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 
 import resist_sketch as rs
@@ -200,6 +201,21 @@ class TestExactResistances:
         np.testing.assert_allclose(profile_of(g).resistance, exact, rtol=1e-13)
         np.testing.assert_allclose(rs.effective_resistances(g), exact, rtol=1e-13)
 
+    @pytest.mark.parametrize("span", [8, 16])
+    @pytest.mark.parametrize("rank", [64, 65, 96, 129, 200])
+    def test_inverse_by_halves_matches_dtrtri(self, rank, span):
+        # rank 64 is one dtrtri block; the rest split into halves whose corners
+        # are two dtrmm each, so they sum what dtrtri sums: no entry is negative
+        assert (rank > spectral._TRTRI_ORDER) == (rank != 64)
+        g = _rounded_connected(rank + 1, rank, span)
+        *_, a, _ = spectral._eliminate(rs.incidence_factors(g))
+        upper = np.array(a[:rank])
+        expected, info = scipy.linalg.lapack.dtrtri(upper.T, lower=1, unitdiag=1)
+        assert info == 0
+        assert spectral._invert_unit_upper(upper)
+        np.testing.assert_allclose(upper, expected.T, rtol=1e-14, atol=0)
+        assert np.all(upper >= 0.0)
+
     @pytest.mark.parametrize("k", [-40, -1, 3, 100])
     def test_power_of_four_scaling_is_exact(self, k):
         # weights times 4**k: the builder's 2**(-2h) takes h + k, so the same
@@ -230,6 +246,21 @@ class TestExactResistances:
         exact = resistances_exact(g)
         assert exact[-1] == pytest.approx(1e18, rel=1e-15)
         np.testing.assert_allclose(profile_of(g).resistance, exact, rtol=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="past the bridge every row of F carries about 1/sqrt(w) in its last "
+        "column, which cancels in ||F[u] - F[v]||^2",
+    )
+    def test_faint_bridge_between_large_halves(self):
+        # two random 90-vertex halves joined by a 1e-20 bridge: the half eliminated
+        # last should keep the resistances it has alone (it reads about 2e-10 off)
+        halves = [_rounded_connected(90, seed) for seed in (3, 4)]
+        edges = list(halves[0].edges) + [(u + 90, v + 90, w) for u, v, w in halves[1].edges]
+        g = rs.WeightedGraph(180, edges + [(89, 90, 1e-20)])
+        far = profile_of(g).resistance[halves[0].m : -1]
+        np.testing.assert_allclose(far, profile_of(halves[1]).resistance, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("bridge", [1e-21, 1e-22, 1e-23, 1e-24, 1e-30, 1e-100])
     def test_far_bridge_resolves(self, bridge):
