@@ -155,28 +155,20 @@ def _edge_factors(n: int, lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> Inci
     return IncidenceFactors(incidence=incidence, weights=w, lo=lo, hi=hi)
 
 
-def _assemble_laplacian(
-    n: int, lo: np.ndarray, hi: np.ndarray, w: np.ndarray
-) -> sparse.csr_matrix:
-    """Laplacian diag(deg) - A - A^T of the edges (lo_i, hi_i, w_i), lo_i < hi_i.
-
-    A is the strict upper triangle with parallel edges summed once, so the
-    (i, j) and (j, i) entries are the same sum and the result is symmetric
-    exactly, not just within round-off.
-    """
-    upper = sparse.csr_matrix((w, (lo, hi)), shape=(n, n))
-    deg = np.bincount(lo, w, minlength=n) + np.bincount(hi, w, minlength=n)
-    return (sparse.diags(deg, format="csr") - upper - upper.T).tocsr()
-
-
 def laplacian_of(g: WeightedGraph) -> sparse.csr_matrix:
-    """Laplacian of ``g`` as a sparse symmetric PSD matrix.
+    """Laplacian of ``g`` as a sparse symmetric PSD matrix, diag(deg) - A - A^T.
 
     Off-diagonal (i, j) entries are minus the total weight between i and j
     (parallel edges sum); diagonal entries are the weighted degrees. Row sums
-    are zero, so the all-ones vector is in the null space.
+    are zero, so the all-ones vector is in the null space. A is the strict
+    upper triangle with parallel edges summed once, so the (i, j) and (j, i)
+    entries are the same sum and the result is symmetric exactly, not just
+    within round-off.
     """
-    return _assemble_laplacian(g.n, *g._ends(), g.weights())
+    n, (lo, hi), w = g.n, g._ends(), g.weights()
+    upper = sparse.csr_matrix((w, (lo, hi)), shape=(n, n))
+    deg = np.bincount(lo, w, minlength=n) + np.bincount(hi, w, minlength=n)
+    return (sparse.diags(deg, format="csr") - upper - upper.T).tocsr()
 
 
 def _components(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,7 @@ from .sampling import (
 from .solve import error_report, solve_exact, solve_sparsified
 from .spectral import (
     SpectralProfile,
-    effective_resistances,
+    _reverse_resistances,
     leverage_probabilities,
     spectral_profile,
 )
@@ -128,15 +128,19 @@ def _cross_check(
 ) -> tuple[np.ndarray | None, float]:
     """Reverse-order resistances and their worst relative gap to leverage/weight.
 
-    When the reverse-order elimination is refused (FactorizationError) there
-    are no resistances and the gap is infinite.
+    The reverse-order elimination (effective_resistances) is built in the
+    profile's F (spectral._reverse_resistances), so the profile is spent:
+    callers read its rank first and nothing of it after. When that
+    elimination is refused (FactorizationError) there are no resistances and
+    the gap is infinite.
     """
+    leverage = profile.leverage
     try:
-        resistance = effective_resistances(factors)
+        resistance = _reverse_resistances(factors, profile)
     except FactorizationError:
         return None, math.inf
-    gap = np.abs(profile.leverage - factors.weights * resistance)
-    return resistance, float(np.max(gap / np.maximum(profile.leverage, 1e-300)))
+    gap = np.abs(leverage - factors.weights * resistance)
+    return resistance, float(np.max(gap / np.maximum(leverage, 1e-300)))
 
 
 def _plan_for(cfg: RunConfig, profile: SpectralProfile, n: int) -> tuple[SamplingPlan, str]:
@@ -188,10 +192,13 @@ def cmd_resistance(cfg: RunConfig) -> dict[str, Any]:
 
     The resistances are effective_resistances', the positive elimination in
     reverse vertex order, checked against the profile's leverage / weight
-    (forward order). A gap above 1e-8, or a refused elimination (gap inf),
-    raises FactorizationError, not wrong values.
+    (forward order). The reverse elimination is built in the profile's F once
+    its scores are read, so the run holds one dense factor. A gap above 1e-8,
+    or a refused elimination (gap inf), raises FactorizationError, not wrong
+    values.
     """
     g, factors, profile = _analyze(cfg)
+    rank = profile.rank
     resistance, gap = _cross_check(factors, profile)
     if not gap <= _CROSS_CHECK_TOL:
         raise FactorizationError(
@@ -200,7 +207,7 @@ def cmd_resistance(cfg: RunConfig) -> dict[str, Any]:
     return {
         "n": g.n,
         "m": g.m,
-        "rank": profile.rank,
+        "rank": rank,
         "resistance": resistance,
         "lemma_max_relerr": gap,
     }
@@ -272,6 +279,7 @@ def cmd_verify(cfg: RunConfig) -> VerifyReport:
     edge draws differ. Quantile and mean statistics of the
     per-trial concentration deviations come back alongside the success rate
     so both the per-trial and the in-expectation guarantees can be judged.
+    The closing cross-check builds in the profile's F once the trials are done.
     """
     g, factors, profile = _analyze(cfg)
     b = _load_rhs(cfg, g.n)
@@ -305,6 +313,8 @@ def cmd_verify(cfg: RunConfig) -> VerifyReport:
             }
         )
 
+    # no trial reads F past here, so the cross-check may build in it
+    gap = _cross_check(factors, profile)[1]
     pass_count = int(np.count_nonzero(deviations <= bound))
     if cfg.trials > 1:
         std_error = float(np.std(deviations, ddof=1) / math.sqrt(cfg.trials))
@@ -331,7 +341,7 @@ def cmd_verify(cfg: RunConfig) -> VerifyReport:
         mean_deviation_target=math.sqrt(cfg.epsilon) / 6.0,
         oversampling_condition=_oversampling_condition(cfg, profile.rank),
         max_sv_deviation_quantiles=quantiles,
-        lemma_max_relerr=_cross_check(factors, profile)[1],
+        lemma_max_relerr=gap,
         records=tuple(records),
     )
 

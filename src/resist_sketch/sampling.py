@@ -17,12 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import FactorizationError, ParameterError, check
-from .graphs import IncidenceFactors, _assemble_laplacian, _edge_factors
+from .graphs import IncidenceFactors, _edge_factors
 from .spectral import SpectralProfile, _eliminate, _grounded_gram
 
 _PROB_SUM_TOL = 1e-12
@@ -71,16 +70,15 @@ class SamplingPlan:
 
 @dataclass(frozen=True)
 class SparsifiedSystem:
-    """A reweighted subset of a graph's edges and its Laplacian.
+    """A reweighted subset of a graph's edges, whose Laplacian is the sparsifier.
 
     edges       indices of the drawn edges, ascending
     factors     IncidenceFactors of the drawn edges, in that order, weighted
                 w_i c_i / (r p_i), c_i the edge's draw count; weights reads them
-    laplacian   n x n sparse symmetric Laplacian of the reweighted edges,
-                assembled on first read; nothing in the pipeline reads it
-    elimination its positive elimination (spectral._eliminate), made on first
-                read; the sparsified solve and concentration_check finish it
-    nnz         its stored entries, counted from the edges without assembling it
+    elimination the Laplacian's positive elimination (spectral._eliminate), made
+                on first read; the sparsified solve and concentration_check finish it
+    nnz         the Laplacian's stored entries as a sparse matrix, counted from
+                the edges without assembling it
     """
 
     edges: np.ndarray
@@ -95,17 +93,12 @@ class SparsifiedSystem:
         return int(self.edges.size)
 
     @functools.cached_property
-    def laplacian(self) -> sparse.csr_matrix:
-        drawn = self.factors
-        return _assemble_laplacian(drawn.n, drawn.lo, drawn.hi, drawn.weights)
-
-    @functools.cached_property
     def elimination(self) -> tuple:
         return _eliminate(self.factors)
 
     @property
     def nnz(self) -> int:
-        # the assembly stores a degree for each vertex an edge touches and both
+        # laplacian_of stores a degree for each vertex an edge touches and both
         # entries of each distinct vertex pair, every drawn weight being positive
         lo, hi, n = self.factors.lo, self.factors.hi, self.factors.n
         vertices = np.count_nonzero(np.bincount(np.concatenate((lo, hi)), minlength=n))

@@ -9,7 +9,13 @@ so that the two orders can be checked against each other.
 
 This is the exact score oracle, intended for desk-scale instances: about
 n^3/3 flops of GEMM for the factor, n^3/3 more of dtrmm and dtrtri for its
-triangular inverse, and m n for the resistances. Approximate scores enter
+triangular inverse, and m n for the resistances. Each elimination fills one
+dense (rank + 1) x rank array, which becomes F in place; the inverse by
+halves borrows up to three quarter-size blocks while it runs. The reverse
+order can be built in a spent profile's array (``_reverse_resistances``), so
+the ``resistance`` mode holds one such array and ``leverage`` one; ``solve``
+adds the sampled system's elimination, and ``sparsify`` and ``verify`` that
+and the concentration check's rank x rank Gram. Approximate scores enter
 only through the ``beta`` slack of ``leverage_probabilities``; no
 approximation algorithm lives here.
 """
@@ -77,10 +83,15 @@ def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
     rank) by over 1e-8 * rank, as when a resistance overflows, mean the
     weights span past float64: FactorizationError.
     """
+    return _profile(factors)
+
+
+def _profile(factors: IncidenceFactors, out: np.ndarray | None = None) -> SpectralProfile:
+    """``spectral_profile``, its factor built in out's memory when given (see _grounded_weights)."""
     if factors.m < 1:
         raise ParameterError("graph has no edges")
     with np.errstate(all="ignore"):
-        labels, at, f = _grounded_factor(_eliminate(factors))
+        labels, at, f = _grounded_factor(_eliminate(factors, out))
         rank = f.shape[1]
         u, v = at[factors.lo], at[factors.hi]
         first = np.minimum(u, v)  # row u of F is zero left of column u, the grounds' row everywhere
@@ -108,7 +119,9 @@ def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
     )
 
 
-def _grounded_weights(edges: IncidenceFactors) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+def _grounded_weights(
+    edges: IncidenceFactors, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Ground one vertex per component and scale the weights; nothing else does either.
 
     Returns the labels of ``_components``, the row map at (the i-th non-ground
@@ -117,7 +130,9 @@ def _grounded_weights(edges: IncidenceFactors) -> tuple[np.ndarray, np.ndarray, 
     degree can overflow. For i < j < rank, a[i, j] sums the edges between the
     i-th and j-th non-grounds and a[rank, j] those from the j-th to the
     grounds; the rest of a is zero. Each consumer undoes the scaling on its
-    result with one ldexp.
+    result with one ldexp. a is fresh zeros, or out (a spent factor of as many
+    entries, its pages already mapped) zeroed; np.add.at sums into it in edge
+    order, so each entry is the same sum in either.
     """
     lo, hi, weights = edges.lo, edges.hi, edges.weights
     labels, keep = _components(edges.n, lo, hi)
@@ -126,12 +141,18 @@ def _grounded_weights(edges: IncidenceFactors) -> tuple[np.ndarray, np.ndarray, 
     at = np.where(keep, np.cumsum(keep) - 1, rank)
     # hi is never a ground (each component's is its first vertex), so at[lo] < at[hi]
     # or lo is a ground, whose weights land in row rank
-    flat = np.bincount(at[lo] * rank + at[hi], np.ldexp(weights, -2 * half), (rank + 1) * rank)
+    cells, scaled, size = at[lo] * rank + at[hi], np.ldexp(weights, -2 * half), (rank + 1) * rank
+    if out is None:
+        flat = np.zeros(size)
+    else:
+        flat = out.reshape(size)
+        flat.fill(0.0)
+    np.add.at(flat, cells, scaled)
     return labels, at, half, flat.reshape(rank + 1, rank)
 
 
 @np.errstate(all="ignore")  # a pivot that is not positive and finite is refused below
-def _eliminate(edges: IncidenceFactors) -> tuple:
+def _eliminate(edges: IncidenceFactors, out: np.ndarray | None = None) -> tuple:
     """Positive L D L^T of the edges' grounded Laplacian: labels, row map, h, a, pivots D.
 
     The array a of ``_grounded_weights`` becomes the unit upper L^T in place
@@ -147,7 +168,7 @@ def _eliminate(edges: IncidenceFactors) -> tuple:
     terms of one sign. A pivot that is not positive and finite raises
     FactorizationError.
     """
-    labels, at, half, a = _grounded_weights(edges)
+    labels, at, half, a = _grounded_weights(edges, out)
     rank = a.shape[1]
     ground = a[rank]
     dger = scipy.linalg.blas.dger
@@ -292,12 +313,29 @@ def effective_resistances(g: WeightedGraph | IncidenceFactors) -> np.ndarray:
     FactorizationError past float64's range. Takes a graph or its incidence
     factors.
     """
-    factors = g if isinstance(g, IncidenceFactors) else incidence_factors(g)
+    return _reverse_resistances(g if isinstance(g, IncidenceFactors) else incidence_factors(g))
+
+
+def _reverse_resistances(
+    factors: IncidenceFactors, spent: SpectralProfile | None = None
+) -> np.ndarray:
+    """``effective_resistances`` of the factors, built in spent's F when given.
+
+    spent is a profile of the same edges that nothing reads again. The reverse
+    order keeps the rank, so its elimination fits F's (rank + 1) x rank array
+    and overwrites it: a run holds one dense factor, not two, and maps no
+    fresh pages for the second. The resistances are the same bit for bit
+    (see _grounded_weights).
+    """
     if factors.m == 0:
         return np.zeros(0)
     last = factors.n - 1
     flipped = _edge_factors(factors.n, last - factors.hi, last - factors.lo, factors.weights)
-    return spectral_profile(flipped).resistance
+    out = None
+    if spent is not None:
+        out = spent.factor
+        out.setflags(write=True)  # a view of _grounded_weights' array, which was never locked
+    return _profile(flipped, out).resistance
 
 
 #: slack for validating supplied probabilities against the leverage floor

@@ -26,6 +26,13 @@ def bridged_triangles(bridge: float = 1.0) -> rs.WeightedGraph:
     )
 
 
+def sparsifier_laplacian(system: rs.SparsifiedSystem):
+    """The Laplacian of a sparsifier's reweighted edges, as laplacian_of assembles it."""
+    drawn = system.factors
+    edges = zip(drawn.lo.tolist(), drawn.hi.tolist(), drawn.weights.tolist())
+    return rs.laplacian_of(rs.WeightedGraph(drawn.n, edges))
+
+
 @pytest.fixture
 def graph_file(tmp_path):
     """Write a graph to a temp file and hand back its path."""

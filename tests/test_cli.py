@@ -8,6 +8,7 @@ import scipy.linalg
 import conftest
 import resist_sketch as rs
 from oracles import solve_rational
+from resist_sketch import spectral
 from resist_sketch.cli import _dumps, main
 
 
@@ -184,7 +185,7 @@ class TestExitCodes:
         # (gap inf): resistance prints nothing and exits 2
         from resist_sketch import harness
 
-        monkeypatch.setattr(harness, "effective_resistances", _faulty_routes[fault])
+        monkeypatch.setattr(harness, "_reverse_resistances", _faulty_routes[fault])
         code, out, err = run(capsys, "resistance", "--graph", tri_file)
         assert code == 2
         assert out == ""
@@ -299,7 +300,7 @@ class TestExitCodes:
     def test_verify_only_reports_failed_cross_check(self, tmp_path, capsys, monkeypatch):
         from resist_sketch import harness
 
-        monkeypatch.setattr(harness, "effective_resistances", _faulty_routes["gap"])
+        monkeypatch.setattr(harness, "_reverse_resistances", _faulty_routes["gap"])
         code, out, _ = run(
             capsys, "verify", "--graph", bridged_triangles(tmp_path, 1e-10),
             "--trials", "2",
@@ -314,7 +315,7 @@ class TestExitCodes:
         # same elimination as a full-rank draw.
         from resist_sketch import harness
 
-        monkeypatch.setattr(harness, "effective_resistances", _faulty_routes["unfactorable"])
+        monkeypatch.setattr(harness, "_reverse_resistances", _faulty_routes["unfactorable"])
         code, out, _ = run(
             capsys, "verify", "--graph", bridged_triangles(tmp_path, 1e-18),
             "--trials", "2", "--r-override", "1",
@@ -323,13 +324,13 @@ class TestExitCodes:
         assert json.loads(out)["results"]["lemma_max_relerr"] is None
 
 
-def _unfactorable(factors):
+def _unfactorable(factors, spent):
     raise rs.FactorizationError("forced")
 
 
 #: stand-ins for the second resistance route: off by a factor of two, or refusing
 _faulty_routes = {
-    "gap": lambda factors: 2.0 * rs.effective_resistances(factors),
+    "gap": lambda factors, spent: 2.0 * spectral._reverse_resistances(factors, spent),
     "unfactorable": _unfactorable,
 }
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -218,6 +219,17 @@ class TestCmdVerify:
         assert len(set(seeds)) == 10
 
 
+def _connected(n, m, seed):
+    """A random recursive tree on n vertices plus m - n + 1 other distinct vertex pairs."""
+    rng = np.random.default_rng(seed)
+    tree = rs.random_tree(n, rng)
+    taken = {(u, v) for u, v, _ in tree.edges}
+    free = [pair for pair in zip(*np.triu_indices(n, 1)) if pair not in taken]
+    extra = rng.choice(len(free), size=m - n + 1, replace=False)
+    weights = rng.uniform(0.1, 10.0, extra.size)
+    return rs.WeightedGraph(n, list(tree.edges) + [(*free[i], w) for i, w in zip(extra, weights)])
+
+
 class TestRunReport:
     def test_envelope(self, graph_file, triangle):
         report = rs.run_report(cfg_for(graph_file(triangle)))
@@ -252,15 +264,30 @@ class TestRunReport:
         from resist_sketch import harness
 
         calls = []
-        original = harness.effective_resistances
+        original = harness._reverse_resistances
 
-        def counted(g):
+        def counted(g, spent):
             calls.append(g)
-            return original(g)
+            return original(g, spent)
 
-        monkeypatch.setattr(harness, "effective_resistances", counted)
+        monkeypatch.setattr(harness, "_reverse_resistances", counted)
         rs.run_report(cfg_for(graph_file(triangle), mode=mode, trials=3))
         assert len(calls) == 1
+
+    def test_resistance_holds_one_dense_factor(self, graph_file):
+        # the reverse elimination is built in the profile's (rank + 1) x rank F:
+        # a second such array would put the peak past 2.5 of them
+        g = _connected(400, 4400, seed=4)
+        cfg = cfg_for(graph_file(g), mode="resistance")
+        tracemalloc.start()
+        try:
+            report = rs.run_report(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rank = report["results"]["rank"]
+        assert rank == 399
+        assert peak < 2.5 * (rank + 1) * rank * 8
 
     @pytest.mark.parametrize("mode, draws", [("sparsify", 1), ("verify", 7)])
     def test_one_draw_per_sparsifier(self, graph_file, triangle, monkeypatch, mode, draws):
