@@ -3,7 +3,7 @@
 A graph is a vertex count plus an ordered list of positively weighted edges;
 the edge index is meaningful and preserved by everything derived from it.
 The Laplacian is available two ways, which must agree: directly from weighted
-degrees, and as the product of the signed incidence matrix with itself.
+degrees, and as IncidenceFactors, the edges that give L = B^T diag(w) B.
 """
 
 from __future__ import annotations
@@ -115,44 +115,34 @@ def _check_vertex_count(n) -> None:
 
 @dataclass(frozen=True)
 class IncidenceFactors:
-    """Signed incidence matrix and edge weights of a graph.
+    """A graph's edges as the factors of its Laplacian, L = B^T diag(weights) B.
 
-    ``incidence`` is m x n with two nonzeros per row: +1 at the smaller
-    endpoint (``lo``), -1 at the larger (``hi``). ``weights`` is the length-m
-    vector of edge weights.
+    Edge i joins ``lo[i] < hi[i]`` with weight ``weights[i]``. They give the
+    m x n signed incidence matrix B, whose row i has +1 at ``lo[i]`` and -1
+    at ``hi[i]``; B is never formed. The arrays are locked read-only.
     """
 
-    incidence: sparse.csr_matrix
-    weights: np.ndarray
+    n: int
     lo: np.ndarray
     hi: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.lo, self.hi, self.weights):
+            a.setflags(write=False)
 
     @property
     def m(self) -> int:
-        return self.incidence.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.incidence.shape[1]
+        return self.weights.size
 
 
 def incidence_factors(g: WeightedGraph) -> IncidenceFactors:
     """Build the incidence factorization of ``g``.
 
-    Row i of the incidence matrix has +1 at min(u_i, v_i) and -1 at
-    max(u_i, v_i); the orientation is arbitrary mathematically, fixed here so
-    outputs are deterministic.
+    Edge i is oriented from min(u_i, v_i) to max(u_i, v_i); the orientation
+    is arbitrary mathematically, fixed here so outputs are deterministic.
     """
-    return _edge_factors(g.n, *g._ends(), g.weights())
-
-
-def _edge_factors(n: int, lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> IncidenceFactors:
-    """IncidenceFactors of the edges (lo_i, hi_i, w_i), lo_i < hi_i; the arrays kept read-only."""
-    for a in (lo, hi, w):
-        a.setflags(write=False)
-    data, indptr = np.tile([1.0, -1.0], lo.size), np.arange(0, 2 * lo.size + 1, 2)
-    incidence = sparse.csr_matrix((data, np.column_stack([lo, hi]).ravel(), indptr), (lo.size, n))
-    return IncidenceFactors(incidence=incidence, weights=w, lo=lo, hi=hi)
+    return IncidenceFactors(g.n, *g._ends(), g.weights())
 
 
 def laplacian_of(g: WeightedGraph) -> sparse.csr_matrix:

@@ -21,7 +21,7 @@ from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import FactorizationError, ParameterError, check
-from .graphs import IncidenceFactors, _edge_factors
+from .graphs import IncidenceFactors
 from .spectral import SpectralProfile, _eliminate, _grounded_gram
 
 _PROB_SUM_TOL = 1e-12
@@ -162,7 +162,7 @@ def build_sparsifier(factors: IncidenceFactors, plan: SamplingPlan) -> Sparsifie
     if np.any(p == 0.0):
         raise RuntimeError("drew an edge with zero probability")
     weights = factors.weights[hit] * (counts[hit] / (plan.r * p))
-    drawn = _edge_factors(factors.n, factors.lo[hit], factors.hi[hit], weights)
+    drawn = IncidenceFactors(factors.n, factors.lo[hit], factors.hi[hit], weights)
     hit.setflags(write=False)
     return SparsifiedSystem(edges=hit, factors=drawn)
 

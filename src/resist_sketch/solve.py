@@ -9,9 +9,12 @@ bounds. No square root is taken anywhere; tests compare like with like.
 
 Every Laplacian is read as edges, IncidenceFactors with L = B^T diag(w) B; a
 Laplacian matrix passed in is read through its strict upper triangle, so an
-overflowed diagonal is never read. Without a profile, the pseudoinverse is
+overflowed diagonal is never read. The products with B come from the edge
+arrays: B x is x[lo] - x[hi], and B^T y sums each vertex's terms in edge
+order, as a sparse B^T would. Without a profile, the pseudoinverse is
 applied by two unit-triangular solves on the edges' positive elimination,
 whose factor keeps a faint bridge that an assembled diagonal would absorb.
+Results past float64's range raise FactorizationError.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import ParameterError, check
-from .graphs import IncidenceFactors, _edge_factors
+from .errors import FactorizationError, ParameterError, check
+from .graphs import IncidenceFactors
 from .spectral import SpectralProfile, _eliminate, _factor_solve, _grounded_solve
 
 #: below this times max(1, ||x|| ||L x||), the reference energy x^T L x counts
@@ -66,7 +69,7 @@ def _edges(L) -> IncidenceFactors:
     if isinstance(L, IncidenceFactors):
         return L
     pairs = sparse.triu(L, k=1, format="coo")
-    return _edge_factors(L.shape[0], pairs.row, pairs.col, -pairs.data)
+    return IncidenceFactors(L.shape[0], pairs.row, pairs.col, -pairs.data)
 
 
 def _solved(factors: IncidenceFactors, b, apply) -> SolveReport:
@@ -77,9 +80,11 @@ def _solved(factors: IncidenceFactors, b, apply) -> SolveReport:
     if not np.all(np.isfinite(b)):
         raise ParameterError("right-hand side must be finite")
     x, rank = apply(b)
+    # the norm of the residual scaled by a power of two, which no square can overflow
+    residual, k = _unit_scaled(_laplacian_times(factors, x) - b)
     return SolveReport(
         x=x,
-        residual_two_norm=float(np.linalg.norm(_laplacian_times(factors, x) - b)),
+        residual_two_norm=_ldexp(float(np.linalg.norm(residual)), k, "residual norm"),
         null_component=float(abs(x.sum())),
         rank=rank,
     )
@@ -120,13 +125,26 @@ def energy_norm(L, x: np.ndarray) -> float:
     squared weighted flow norm sum_i w_i (Bx)_i^2, which cannot go negative.
     """
     factors = _edges(L)
-    flow = factors.incidence @ np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
+    flow = x[factors.lo] - x[factors.hi]
     return float(np.dot(factors.weights, flow * flow))
 
 
 def _laplacian_times(factors: IncidenceFactors, x: np.ndarray) -> np.ndarray:
-    """L x as B^T (w * B x)."""
-    return factors.incidence.T @ (factors.weights * (factors.incidence @ x))
+    """L x as B^T (w * B x), each vertex's terms summed in edge order, lo then hi."""
+    lo, hi = factors.lo, factors.hi
+    y = factors.weights * (x[lo] - x[hi])
+    out = np.zeros(factors.n)
+    np.add.at(out, np.column_stack((lo, hi)).ravel(), np.column_stack((y, -y)).ravel())
+    return out
+
+
+def _ldexp(x: float, k: int, name: str) -> float:
+    """x * 2**k; FactorizationError where that is past float64's range."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        raise FactorizationError(f"{name} {x!r} * 2**{k} is past float64's range") from None
 
 
 def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
@@ -135,15 +153,15 @@ def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(v, -k), k
 
 
-def _scaled_energy(weights: np.ndarray, flow: np.ndarray) -> tuple[float, int]:
-    """sum_i weights_i flow_i^2 as (e, k), the energy being e * 2**k.
+def _scaled_energy(factors: IncidenceFactors, x: np.ndarray) -> tuple[float, int]:
+    """x^T L x = sum_i w_i (B x)_i^2 as (e, k), the energy being e * 2**k.
 
-    The flow is first scaled by the power of two that brings its largest
+    The flow B x is first scaled by the power of two that brings its largest
     entry into [0.5, 1), so no square under- or overflows when the flows near
     either end of the float range.
     """
-    flow, half = _unit_scaled(flow)
-    return float(np.dot(weights, flow * flow)), 2 * half
+    flow, half = _unit_scaled(x[factors.lo] - x[factors.hi])
+    return float(np.dot(factors.weights, flow * flow)), 2 * half
 
 
 def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float) -> SolveReport:
@@ -169,10 +187,10 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
         )
     L = _edges(L)
     a = math.frexp(float(np.max(L.weights, initial=0.0)))[1] - 1
-    weights = np.ldexp(L.weights, -a)
-    error, k_error = _scaled_energy(weights, L.incidence @ (exact.x - sparsified.x))
-    reference, k_reference = _scaled_energy(weights, L.incidence @ exact.x)
-    energy_error = math.ldexp(error, a + k_error)
+    scaled = IncidenceFactors(L.n, L.lo, L.hi, np.ldexp(L.weights, -a))
+    error, k_error = _scaled_energy(scaled, exact.x - sparsified.x)
+    reference, k_reference = _scaled_energy(scaled, exact.x)
+    energy_error = _ldexp(error, a + k_error, "energy error")
     # x^T L x <= ||x|| ||L x|| (Cauchy-Schwarz): a floor that grows with x as
     # the energy does, where ||x||^2 would outgrow it across a faint bridge.
     # Both sides are those of the weight-scaled system, x 2**a and L 2**-a;
@@ -180,7 +198,7 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
     # both sides are compared times 2**-t, t >= that exponent, so neither
     # the norms nor the comparison can overflow
     y, k = _unit_scaled(exact.x)
-    ly = L.incidence.T @ (weights * (L.incidence @ y))
+    ly = _laplacian_times(scaled, y)
     exponent = 2 * (k + a)
     t = max(0, exponent)
     bound = float(np.linalg.norm(y) * np.linalg.norm(ly))
@@ -188,7 +206,7 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
     if math.ldexp(reference, k_reference + 2 * a - t) <= floor:
         relative, success = None, energy_error <= _NULL_ENERGY_SUCCESS
     else:
-        relative = math.ldexp(error / reference, k_error - k_reference)
+        relative = _ldexp(error / reference, k_error - k_reference, "relative energy error")
         success = relative <= epsilon
     return dataclasses.replace(
         sparsified,

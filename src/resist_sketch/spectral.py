@@ -29,9 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import FactorizationError, ParameterError, check
-from .graphs import (
-    IncidenceFactors, WeightedGraph, _centre, _components, _edge_factors, incidence_factors
-)
+from .graphs import IncidenceFactors, WeightedGraph, _centre, _components, incidence_factors
 
 
 @dataclass(frozen=True)
@@ -330,7 +328,7 @@ def _reverse_resistances(
     if factors.m == 0:
         return np.zeros(0)
     last = factors.n - 1
-    flipped = _edge_factors(factors.n, last - factors.hi, last - factors.lo, factors.weights)
+    flipped = IncidenceFactors(factors.n, last - factors.hi, last - factors.lo, factors.weights)
     out = None
     if spent is not None:
         out = spent.factor

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from resist_sketch import WeightedGraph
 
@@ -26,6 +27,18 @@ def eig_pinv(matrix: np.ndarray) -> np.ndarray:
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / vals[keep]
     return (vecs * inv) @ vecs.T
+
+
+def incidence_matrix(factors) -> scipy.sparse.csr_matrix:
+    """The m x n signed incidence matrix B of IncidenceFactors, as a sparse matrix.
+
+    Row i has +1 at lo[i] and -1 at hi[i]. The package never forms B; its
+    products with B must equal this matrix's, bit for bit.
+    """
+    m = factors.lo.size
+    rows = np.repeat(np.arange(m), 2)
+    cols = np.column_stack((factors.lo, factors.hi)).ravel()
+    return scipy.sparse.csr_matrix((np.tile([1.0, -1.0], m), (rows, cols)), shape=(m, factors.n))
 
 
 def dense_laplacian(g: WeightedGraph) -> np.ndarray:

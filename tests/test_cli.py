@@ -263,6 +263,15 @@ class TestExitCodes:
         assert faint == pytest.approx(reference, rel=1e-12, abs=0)
         assert reports[1]["success"] is True
 
+    def test_energy_error_past_the_float_range(self, tmp_path, capsys):
+        # the seed-3 draw on triangles bridged at 1e-300 misses the exact
+        # solution by an energy near 1e568, which no float64 holds
+        code, out, err = run(
+            capsys, "solve", "--graph", bridged_triangles(tmp_path, 1e-300), "--seed", "3"
+        )
+        assert code == 2
+        assert out == "" and "numerical failure: energy error" in err and "past float64" in err
+
     @pytest.mark.parametrize("bridge", [1e-8, 1e-16, 1e-24, 1e-28])
     def test_faint_bridge_deviation(self, tmp_path, capsys, bridge):
         # the bridge's leverage is 1 at any weight, so the draw is the unit

@@ -11,7 +11,12 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 import resist_sketch as rs
 from resist_sketch import sampling, spectral
 from conftest import bridged_triangles, connected_graphs, sparsifier_laplacian
-from oracles import inverse_cdf_draws, materialized_sampler_product, orthonormal_basis
+from oracles import (
+    incidence_matrix,
+    inverse_cdf_draws,
+    materialized_sampler_product,
+    orthonormal_basis,
+)
 
 
 def plan_for(g, r=500, seed=0, beta=1.0, epsilon=0.5):
@@ -218,7 +223,7 @@ class TestBuildSparsifier:
         counts = rs.draw_counts(plan)
         system = rs.build_sparsifier(factors, plan)
         reference = materialized_sampler_product(
-            factors.incidence.toarray(),
+            incidence_matrix(factors).toarray(),
             factors.weights,
             plan.probabilities,
             np.repeat(np.arange(triangle.m), counts),

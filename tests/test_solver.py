@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 
 import resist_sketch as rs
 from conftest import bridged_triangles, connected_graphs, weighted_graphs
-from oracles import eig_pinv, pinv_factor, solve_rational
-from test_spectral import _wide_weight_graph
+from oracles import eig_pinv, incidence_matrix, pinv_factor, solve_rational
+from resist_sketch.solve import _laplacian_times
+from test_spectral import _parallel_pair, _three_components, _wide_weight_graph
 
 
 def profile_of(g):
@@ -153,6 +156,22 @@ class TestSolveSparsified:
         report = rs.solve_sparsified(system, np.array([1.0, 0.0, -1.0]))
         assert report.rank == 1
 
+    def test_residual_past_the_squares_range(self):
+        # the seed-3 draw on triangles bridged at 1e-300 solves to x near 3e299
+        # and a residual near 1e284, whose squares overflow; its norm is finite
+        g = bridged_triangles(1e-300)
+        factors = rs.incidence_factors(g)
+        plan = rs.SamplingPlan(
+            probabilities=rs.leverage_probabilities(rs.spectral_profile(factors)),
+            beta=1.0, epsilon=0.5, c0=1.0, r=rs.sample_count(g.n, 0.5), seed=3,
+        )
+        system = rs.build_sparsifier(factors, plan)
+        b = rs.default_rhs(g.n, 3)
+        report = rs.solve_sparsified(system, b)
+        residual = _laplacian_times(system.factors, report.x) - b
+        assert np.abs(residual).max() > 1e280
+        assert report.residual_two_norm == pytest.approx(math.hypot(*residual), rel=1e-15, abs=0)
+
 
 class TestWeightScaling:
     def test_overflowing_degrees_scale_exactly(self):
@@ -172,6 +191,24 @@ class TestWeightScaling:
             solutions.append((rs.solve_sparsified(system, rhs).x, exact.x))
         for unit, heavy in zip(*solutions):
             np.testing.assert_array_equal(heavy, np.ldexp(unit, -962))
+
+
+class TestEdgeProducts:
+    """The products with B read the edge arrays and equal the sparse B's, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [_parallel_pair(), _three_components(), _wide_weight_graph(11, 12)],
+        ids=["parallel", "components", "span-1e12"],
+    )
+    def test_equal_the_sparse_products(self, g):
+        factors = rs.incidence_factors(g)
+        B, w = incidence_matrix(factors), factors.weights
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            x = rng.standard_normal(g.n) * 10.0 ** rng.uniform(-12, 12, g.n)
+            assert _laplacian_times(factors, x).tobytes() == (B.T @ (w * (B @ x))).tobytes()
+            assert rs.energy_norm(factors, x) == float(np.dot(w, (B @ x) ** 2))
 
 
 class TestEnergyNorm:

@@ -284,16 +284,8 @@ class TestExactResistances:
 
 
 def _empty_factors():
-    import scipy.sparse as sparse
-
-    from resist_sketch.graphs import IncidenceFactors
-
-    return IncidenceFactors(
-        incidence=sparse.csr_matrix((0, 2)),
-        weights=np.empty(0),
-        lo=np.empty(0, dtype=np.int64),
-        hi=np.empty(0, dtype=np.int64),
-    )
+    no_ends = np.empty(0, dtype=np.int64)
+    return rs.IncidenceFactors(n=2, lo=no_ends, hi=no_ends, weights=np.empty(0))
 
 
 def _parallel_pair():
