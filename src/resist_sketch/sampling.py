@@ -22,7 +22,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import FactorizationError, ParameterError, check
 from .graphs import IncidenceFactors
-from .spectral import SpectralProfile, _eliminate, _grounded_gram
+from .spectral import SpectralProfile, _Elimination, _eliminate, _grounded_gram
 
 _PROB_SUM_TOL = 1e-12
 #: Gram rank from which the concentration check runs Lanczos instead of eigvalsh;
@@ -75,7 +75,7 @@ class SparsifiedSystem:
     edges       indices of the drawn edges, ascending
     factors     IncidenceFactors of the drawn edges, in that order, weighted
                 w_i c_i / (r p_i), c_i the edge's draw count; weights reads them
-    elimination the Laplacian's positive elimination (spectral._eliminate), made
+    elimination the Laplacian's positive elimination, a spectral._Elimination made
                 on first read; the sparsified solve and concentration_check finish it
     nnz         the Laplacian's stored entries as a sparse matrix, counted from
                 the edges without assembling it
@@ -93,7 +93,7 @@ class SparsifiedSystem:
         return int(self.edges.size)
 
     @functools.cached_property
-    def elimination(self) -> tuple:
+    def elimination(self) -> _Elimination:
         return _eliminate(self.factors)
 
     @property
@@ -187,7 +187,7 @@ def concentration_check(profile: SpectralProfile, system: SparsifiedSystem) -> f
     drawn, n = system.factors, profile.row_map.size
     if n != drawn.n:
         raise ParameterError(f"profile has {n} vertices but the sparsifier has {drawn.n}")
-    gram = _grounded_gram(system.elimination, profile.factor, profile.row_map)
+    gram = _grounded_gram(system.elimination, profile)
     rank = gram.shape[0]
     trace = float(np.dot(drawn.weights, profile.resistance[system.edges]))
     deviation = None

@@ -64,19 +64,38 @@ class SolveReport:
 def _edges(L) -> IncidenceFactors:
     """L if it is IncidenceFactors, else the edges of its strict upper triangle, negated.
 
-    The one place a Laplacian matrix becomes edges; parallel edges arrive summed.
+    The one place a Laplacian matrix becomes edges; parallel edges arrive
+    summed and stored zeros are no edges. A matrix that is not square, or an
+    off-diagonal entry that is not finite and <= 0, is no Laplacian's:
+    ParameterError.
     """
     if isinstance(L, IncidenceFactors):
         return L
+    if L.shape[0] != L.shape[1]:
+        raise ParameterError(f"Laplacian has shape {L.shape}, which is not square")
     pairs = sparse.triu(L, k=1, format="coo")
-    return IncidenceFactors(L.shape[0], pairs.row, pairs.col, -pairs.data)
+    weights = -pairs.data
+    bad = np.flatnonzero(~((weights >= 0.0) & (weights < np.inf)))
+    if bad.size:
+        i, j, x = pairs.row[bad[0]], pairs.col[bad[0]], float(pairs.data[bad[0]])
+        raise ParameterError(
+            f"off-diagonal entry ({i}, {j}) is {x!r}; a Laplacian's are finite and <= 0"
+        )
+    edge = weights > 0.0
+    return IncidenceFactors(L.shape[0], pairs.row[edge], pairs.col[edge], weights[edge])
+
+
+def _vector(v, n: int, what: str) -> np.ndarray:
+    """v as a float array of one entry per vertex, n of them; ParameterError otherwise."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ParameterError(f"{what} has shape {v.shape}, expected ({n},)")
+    return v
 
 
 def _solved(factors: IncidenceFactors, b, apply) -> SolveReport:
     """Check b against the edges, solve by apply(b) -> (x, rank), and report ||L x - b||."""
-    b = np.asarray(b, dtype=float)
-    if b.shape != (factors.n,):
-        raise ParameterError(f"right-hand side has shape {b.shape}, expected ({factors.n},)")
+    b = _vector(b, factors.n, "right-hand side")
     if not np.all(np.isfinite(b)):
         raise ParameterError("right-hand side must be finite")
     x, rank = apply(b)
@@ -121,11 +140,12 @@ def solve_sparsified(system, b: np.ndarray) -> SolveReport:
 def energy_norm(L, x: np.ndarray) -> float:
     """The quadratic form x^T L x (a squared quantity, by convention).
 
-    L is IncidenceFactors or a Laplacian matrix (see _edges). The form is the
-    squared weighted flow norm sum_i w_i (Bx)_i^2, which cannot go negative.
+    L is IncidenceFactors or a Laplacian matrix (see _edges), and x has one
+    entry per vertex. The form is the squared weighted flow norm
+    sum_i w_i (Bx)_i^2, which cannot go negative.
     """
     factors = _edges(L)
-    x = np.asarray(x, dtype=float)
+    x = _vector(x, factors.n, "solution")
     flow = x[factors.lo] - x[factors.hi]
     return float(np.dot(factors.weights, flow * flow))
 
@@ -167,10 +187,11 @@ def _scaled_energy(factors: IncidenceFactors, x: np.ndarray) -> tuple[float, int
 def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float) -> SolveReport:
     """Score a sparsified solve against the exact one in the energy norm.
 
-    L, the original Laplacian, is IncidenceFactors or a matrix (see _edges).
-    When the reference energy is zero (right-hand side entirely in the null
-    space) the ratio is undefined and reported as None; the run then counts
-    as a success only if the absolute energy error is negligible.
+    L, the original Laplacian, is IncidenceFactors or a matrix (see _edges),
+    and both solutions have one entry per vertex. When the reference energy
+    is zero (right-hand side entirely in the null space) the ratio is
+    undefined and reported as None; the run then counts as a success only if
+    the absolute energy error is negligible.
 
     The energies are summed with the weights divided by 2**a, the power of
     two that brings the largest into [1, 2), and each flow scaled likewise,
@@ -181,11 +202,9 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
     where nothing under- or overflows the figures equal the unscaled sums.
     """
     check(epsilon=epsilon)
-    if exact.x.shape != sparsified.x.shape:
-        raise ParameterError(
-            f"solutions have shapes {exact.x.shape} and {sparsified.x.shape}"
-        )
     L = _edges(L)
+    for x in (exact.x, sparsified.x):
+        _vector(x, L.n, "solution")
     a = math.frexp(float(np.max(L.weights, initial=0.0)))[1] - 1
     scaled = IncidenceFactors(L.n, L.lo, L.hi, np.ldexp(L.weights, -a))
     error, k_error = _scaled_energy(scaled, exact.x - sparsified.x)

@@ -9,15 +9,15 @@ so that the two orders can be checked against each other.
 
 This is the exact score oracle, intended for desk-scale instances: about
 n^3/3 flops of GEMM for the factor, n^3/3 more of dtrmm and dtrtri for its
-triangular inverse, and m n for the resistances. Each elimination fills one
-dense (rank + 1) x rank array, which becomes F in place; the inverse by
-halves borrows up to three quarter-size blocks while it runs. The reverse
-order can be built in a spent profile's array (``_reverse_resistances``), so
-the ``resistance`` mode holds one such array and ``leverage`` one; ``solve``
-adds the sampled system's elimination, and ``sparsify`` and ``verify`` that
-and the concentration check's rank x rank Gram. Approximate scores enter
-only through the ``beta`` slack of ``leverage_probabilities``; no
-approximation algorithm lives here.
+triangular inverse, and m n for the resistances. Each elimination is one
+record, ``_Elimination``, whose dense (rank + 1) x rank array becomes L^T,
+then F in place in the profile; the inverse by halves borrows up to three
+quarter-size blocks while it runs. The reverse order can be built in a spent
+profile's array (``_reverse_resistances``), so the ``resistance`` mode holds
+one such array and ``leverage`` one; ``solve`` adds the sampled system's
+elimination, and ``sparsify`` and ``verify`` that and the concentration
+check's rank x rank Gram. Approximate scores enter only through the ``beta``
+slack of ``leverage_probabilities``; no approximation algorithm lives here.
 """
 
 from __future__ import annotations
@@ -59,6 +59,21 @@ class SpectralProfile:
     labels: np.ndarray
 
 
+@dataclass(frozen=True)
+class _Elimination:
+    """``_grounded_weights``' record of the edges; ``_eliminate`` makes a L^T and pivots D."""
+
+    labels: np.ndarray
+    row_map: np.ndarray
+    half: int
+    a: np.ndarray
+    pivots: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.pivots.size
+
+
 #: vertices eliminated per panel before one Schur update of the rest
 _PANEL = 32
 #: largest triangle that one dtrtri inverts; larger ones are split in halves
@@ -89,8 +104,12 @@ def _profile(factors: IncidenceFactors, out: np.ndarray | None = None) -> Spectr
     if factors.m < 1:
         raise ParameterError("graph has no edges")
     with np.errstate(all="ignore"):
-        labels, at, f = _grounded_factor(_eliminate(factors, out))
-        rank = f.shape[1]
+        e = _eliminate(factors, out)
+        rank, at, labels, f = e.rank, e.row_map, e.labels, e.a  # F = L^-T D^-1/2 2**-h in a
+        f[rank] = 0.0
+        if not _invert_unit_upper(f[:rank]):
+            raise FactorizationError(f"inverting the rank-{rank} triangular factor failed")
+        f *= np.ldexp(1.0 / np.sqrt(e.pivots), -e.half)
         u, v = at[factors.lo], at[factors.hi]
         first = np.minimum(u, v)  # row u of F is zero left of column u, the grounds' row everywhere
         order = np.argsort(first)
@@ -117,20 +136,18 @@ def _profile(factors: IncidenceFactors, out: np.ndarray | None = None) -> Spectr
     )
 
 
-def _grounded_weights(
-    edges: IncidenceFactors, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+def _grounded_weights(edges: IncidenceFactors, out: np.ndarray | None = None) -> _Elimination:
     """Ground one vertex per component and scale the weights; nothing else does either.
 
-    Returns the labels of ``_components``, the row map at (the i-th non-ground
-    to i, every ground to rank), h, and the dense (rank + 1) x rank weights a,
-    each times 2**(-2h), which centres their span on 1: exact, and no weighted
-    degree can overflow. For i < j < rank, a[i, j] sums the edges between the
-    i-th and j-th non-grounds and a[rank, j] those from the j-th to the
-    grounds; the rest of a is zero. Each consumer undoes the scaling on its
-    result with one ldexp. a is fresh zeros, or out (a spent factor of as many
-    entries, its pages already mapped) zeroed; np.add.at sums into it in edge
-    order, so each entry is the same sum in either.
+    Returns the edges' record: labels, row map at, h, pivots np.empty(rank),
+    and the dense (rank + 1) x rank weights a, each times 2**(-2h), which
+    centres their span on 1: exact, and no weighted degree can overflow. For
+    i < j < rank, a[i, j] sums the edges between the i-th and j-th
+    non-grounds and a[rank, j] those from the j-th to the grounds; the rest of
+    a is zero. Each consumer undoes the scaling on its result with one ldexp.
+    a is fresh zeros, or out (a spent factor of as many entries, its pages
+    already mapped) zeroed; np.add.at sums into it in edge order, so each
+    entry is the same sum in either.
     """
     lo, hi, weights = edges.lo, edges.hi, edges.weights
     labels, keep = _components(edges.n, lo, hi)
@@ -146,16 +163,16 @@ def _grounded_weights(
         flat = out.reshape(size)
         flat.fill(0.0)
     np.add.at(flat, cells, scaled)
-    return labels, at, half, flat.reshape(rank + 1, rank)
+    return _Elimination(labels, at, half, flat.reshape(rank + 1, rank), np.empty(rank))
 
 
 @np.errstate(all="ignore")  # a pivot that is not positive and finite is refused below
-def _eliminate(edges: IncidenceFactors, out: np.ndarray | None = None) -> tuple:
-    """Positive L D L^T of the edges' grounded Laplacian: labels, row map, h, a, pivots D.
+def _eliminate(edges: IncidenceFactors, out: np.ndarray | None = None) -> _Elimination:
+    """Positive L D L^T of the edges' grounded Laplacian, in ``_grounded_weights``' record.
 
-    The array a of ``_grounded_weights`` becomes the unit upper L^T in place
-    (a[:rank]), L D L^T the grounded Laplacian times 2**(-2h); only the
-    finishes below read it. Left-looking, upper triangle only, in panels of
+    Its a becomes the unit upper L^T in place (a[:rank]) and its pivots D,
+    L D L^T the grounded Laplacian times 2**(-2h); only the profile and the
+    finishes below read them. Left-looking, upper triangle only, in panels of
     _PANEL: before panel K, one GEMM, a[K, K+] += (Y^T D) Y over every earlier
     row, Y <= 0 the finished rows of L^T (row rank, the grounds', included),
     gives it its current weights; within it, each vertex costs one sum and one
@@ -166,11 +183,10 @@ def _eliminate(edges: IncidenceFactors, out: np.ndarray | None = None) -> tuple:
     terms of one sign. A pivot that is not positive and finite raises
     FactorizationError.
     """
-    labels, at, half, a = _grounded_weights(edges, out)
-    rank = a.shape[1]
+    e = _grounded_weights(edges, out)
+    rank, a, pivots = e.rank, e.a, e.pivots
     ground = a[rank]
     dger = scipy.linalg.blas.dger
-    pivots = np.empty(rank)
     for k0 in range(0, rank, _PANEL):
         k1 = min(k0 + _PANEL, rank)
         earlier = a[:k0, k0:k1].T * pivots[:k0]
@@ -202,22 +218,7 @@ def _eliminate(edges: IncidenceFactors, out: np.ndarray | None = None) -> tuple:
             f"pivot {int(bad[0])} of the rank-{rank} grounded Laplacian is "
             f"{float(pivots[bad[0]])!r}: weights span too far"
         )
-    return labels, at, half, a, pivots
-
-
-def _grounded_factor(elimination: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels, row map and F = L^-T D^-1/2 2**-h, in place of the elimination's a.
-
-    L^T is inverted by ``_invert_unit_upper``, n^3/3 flops of dtrmm and dtrtri,
-    and row rank is zeroed for the grounds, so row at[v] of F is vertex v's.
-    """
-    labels, at, half, a, pivots = elimination
-    rank = pivots.size
-    a[rank] = 0.0
-    if not _invert_unit_upper(a[:rank]):
-        raise FactorizationError(f"inverting the rank-{rank} triangular factor failed")
-    a *= np.ldexp(1.0 / np.sqrt(pivots), -half)
-    return labels, at, a
+    return e
 
 
 def _invert_unit_upper(u: np.ndarray) -> bool:
@@ -244,16 +245,15 @@ def _invert_unit_upper(u: np.ndarray) -> bool:
     return True
 
 
-def _grounded_solve(elimination: tuple, b: np.ndarray) -> tuple[np.ndarray, int]:
+def _grounded_solve(e: _Elimination, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimal-norm x with L x = b, and L's rank: two triangular solves on L's elimination."""
-    labels, at, half, a, pivots = elimination
-    keep, lower = at < pivots.size, a[: pivots.size].T  # L, Fortran-ordered
-    x, y = np.zeros(b.size), _centre(b, labels)[keep]
-    if pivots.size:
-        y = scipy.linalg.blas.dtrsv(lower, y, lower=1, diag=1, overwrite_x=1) / pivots
+    keep, lower = e.row_map < e.rank, e.a[: e.rank].T  # L, Fortran-ordered
+    x, y = np.zeros(b.size), _centre(b, e.labels)[keep]
+    if e.rank:
+        y = scipy.linalg.blas.dtrsv(lower, y, lower=1, diag=1, overwrite_x=1) / e.pivots
         y = scipy.linalg.blas.dtrsv(lower, y, lower=1, trans=1, diag=1, overwrite_x=1)
-        x[keep] = np.ldexp(y, -2 * half)
-    return _centre(x, labels), pivots.size
+        x[keep] = np.ldexp(y, -2 * e.half)
+    return _centre(x, e.labels), e.rank
 
 
 def _factor_solve(profile: SpectralProfile, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -270,8 +270,8 @@ def _factor_solve(profile: SpectralProfile, b: np.ndarray) -> tuple[np.ndarray, 
     return _centre(x, labels, out=x), rank
 
 
-def _grounded_gram(elimination: tuple, f: np.ndarray, row_map: np.ndarray) -> np.ndarray:
-    """H^T L H from ``_eliminate`` of L's edges and a profile's F and row map, in the upper triangle.
+def _grounded_gram(e: _Elimination, profile: SpectralProfile) -> np.ndarray:
+    """H^T L H from ``_eliminate`` of L's edges and the profile's F, in the upper triangle.
 
     With H = F[row_map] centred and Y the rows of F at L's non-grounds minus
     those at their component's ground (its first vertex, as in
@@ -282,18 +282,17 @@ def _grounded_gram(elimination: tuple, f: np.ndarray, row_map: np.ndarray) -> np
     the upper triangle of M in n^3/6 flops. A draw short of F's rank gathers
     Y and forms M^T M whole. Either way the upper triangle is what to read.
     """
-    labels, at, half, a, pivots = elimination
-    rank, lower = pivots.size, a[: pivots.size].T
-    full = rank == f.shape[1]
+    rank, f, row_map = e.rank, profile.factor, profile.row_map
+    full = rank == profile.rank
     if full:
         y = np.array(f[:rank])
     else:
-        keep = at < rank
-        grounds = np.unique(labels, return_index=True)[1][labels[keep]]
+        keep = e.row_map < rank
+        grounds = np.unique(e.labels, return_index=True)[1][e.labels[keep]]
         y = f[row_map[keep]] - f[row_map[grounds]]
     # Y^T L in place of Y^T, both Fortran-ordered, is (L^T Y)^T
-    y = scipy.linalg.blas.dtrmm(1.0, lower, y.T, side=1, lower=1, diag=1, overwrite_b=1).T
-    y *= np.ldexp(np.sqrt(pivots), half)[:, None]
+    y = scipy.linalg.blas.dtrmm(1.0, e.a[:rank].T, y.T, side=1, lower=1, diag=1, overwrite_b=1).T
+    y *= np.ldexp(np.sqrt(e.pivots), e.half)[:, None]
     if not full:
         return y.T @ y
     # M^T, Fortran-ordered and lower, takes M M^T in its lower triangle: M's upper

@@ -1,6 +1,8 @@
 """The shared error contract: one domain rule per parameter, and numerical
 failures that surface as FactorizationError instead of wrong numbers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -103,33 +105,32 @@ def _failing(monkeypatch, name):
     monkeypatch.setattr(scipy.linalg.lapack, name, lambda a, **kwargs: (a, 1))
 
 
+def _zeroed(monkeypatch):
+    """Make spectral._grounded_weights zero its record's weights, so pivot 0 is zero."""
+    weights = spectral._grounded_weights
+
+    def zeroed(*args):
+        e = weights(*args)
+        return dataclasses.replace(e, a=0.0 * e.a)
+
+    monkeypatch.setattr(spectral, "_grounded_weights", zeroed)
+
+
 class TestNumericalFailure:
-    def test_failing_qr_raises(self, monkeypatch):
-        # a forced zero pivot: the elimination sees no weights at all
-        weights = spectral._grounded_weights
-
-        def zeroed(*args):
-            labels, at, half, a = weights(*args)
-            return labels, at, half, 0.0 * a
-
-        monkeypatch.setattr(spectral, "_grounded_weights", zeroed)
+    def test_zero_pivot_in_profile_raises(self, monkeypatch):
+        # a forced zero pivot: the profile's elimination sees no weights at all
+        _zeroed(monkeypatch)
         with pytest.raises(rs.FactorizationError, match="pivot 0 of the rank-3 grounded"):
             spectral.spectral_profile(rs.incidence_factors(rs.path(4)))
 
-    def test_failing_cholesky_raises(self, monkeypatch):
+    def test_zero_pivot_in_sampled_elimination_raises(self, monkeypatch):
         # a forced zero pivot in the sampled system's elimination, made on first read
         factors = rs.incidence_factors(_TRIANGLE)
         plan = rs.SamplingPlan(
             probabilities=np.full(3, 1.0 / 3.0), beta=1.0, epsilon=0.5, c0=1.0, r=10, seed=0
         )
         system = rs.build_sparsifier(factors, plan)
-        weights = spectral._grounded_weights
-
-        def zeroed(*args):
-            labels, at, half, a = weights(*args)
-            return labels, at, half, 0.0 * a
-
-        monkeypatch.setattr(spectral, "_grounded_weights", zeroed)
+        _zeroed(monkeypatch)
         with pytest.raises(rs.FactorizationError, match="pivot 0 of the rank-2 grounded"):
             rs.solve_sparsified(system, np.array([1.0, 0.0, -1.0]))
 
@@ -146,13 +147,7 @@ class TestNumericalFailure:
         # forced zero pivot, or a triangular inverse that fails, also when the
         # rank-100 triangle is inverted by halves and one of its blocks fails
         if fault == "pivot":
-            weights = spectral._grounded_weights
-
-            def zeroed(*args):
-                labels, at, half, a = weights(*args)
-                return labels, at, half, 0.0 * a
-
-            monkeypatch.setattr(spectral, "_grounded_weights", zeroed)
+            _zeroed(monkeypatch)
         else:
             _failing(monkeypatch, fault)
         if n == 101:

@@ -437,7 +437,7 @@ def eigvalsh_deviation(prof, system) -> float:
 
     Either finish, triangular or gathered, leaves it in the upper triangle.
     """
-    gram = spectral._grounded_gram(system.elimination, prof.factor, prof.row_map)
+    gram = spectral._grounded_gram(system.elimination, prof)
     return float(np.max(np.abs(np.linalg.eigvalsh(gram, UPLO="U") - 1.0)))
 
 
@@ -492,15 +492,15 @@ class TestLanczosDeviation:
         # a draw that keeps the components has the profile's grounds, so M is
         # upper triangular and M M^T is written over it, its zeros kept below
         prof, _, system = sparsified(two_blocks(1e-3), r=20000, seed=9)
-        assert system.elimination[4].size == prof.rank
-        gram = spectral._grounded_gram(system.elimination, prof.factor, prof.row_map)
+        assert system.elimination.rank == prof.rank
+        gram = spectral._grounded_gram(system.elimination, prof)
         assert not np.tril(gram, -1).any()
 
     def test_missed_bridge_gram_is_gathered(self):
         # a rank shortfall gathers Y and forms M^T M whole
         prof, system = self.missed_bridge()
-        assert system.elimination[4].size == prof.rank - 1
-        gram = spectral._grounded_gram(system.elimination, prof.factor, prof.row_map)
+        assert system.elimination.rank == prof.rank - 1
+        gram = spectral._grounded_gram(system.elimination, prof)
         np.testing.assert_array_equal(gram, gram.T)
 
     def test_repeat_calls_bit_identical(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -117,6 +118,62 @@ class TestSolveExact:
         assert np.linalg.norm(pinv @ L @ pinv - pinv) <= 1e-10 * nP
         assert np.linalg.norm(L @ pinv - (L @ pinv).T) <= 1e-10
         assert np.linalg.norm(pinv @ L - (pinv @ L).T) <= 1e-10
+
+
+class TestInputChecks:
+    """What solve._edges reads of a matrix, and the length a solution must have."""
+
+    B = np.array([1.0, 0.0, -1.0])
+
+    def test_stored_zero_is_no_edge(self):
+        # a CSR Laplacian may store an explicit zero: no edge, and no weight to scale by
+        L = rs.laplacian_of(rs.path(3)).tocoo()
+        stored = sparse.csr_matrix(
+            (np.r_[L.data, 0.0], (np.r_[L.row, 0], np.r_[L.col, 2])), shape=L.shape
+        )
+        assert stored.nnz == L.nnz + 1
+        assert rs.solve_exact(stored, self.B).x.tobytes() == rs.solve_exact(L, self.B).x.tobytes()
+        assert rs.energy_norm(stored, self.B) == rs.energy_norm(L, self.B) == 2.0
+
+    ROUTES = ["solve_exact", "energy_norm", "error_report"]
+
+    def calls(self, M):
+        """Each call that reads M as edges, by route."""
+        x = rs.solve_exact(rs.incidence_factors(rs.path(3)), self.B)
+        return {
+            "solve_exact": lambda: rs.solve_exact(M, self.B),
+            "energy_norm": lambda: rs.energy_norm(M, self.B),
+            "error_report": lambda: rs.error_report(x, x, M, 0.5),
+        }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("entry", [1.0, -math.inf])
+    def test_off_diagonal_refused(self, route, entry):
+        # no Laplacian has one: read as an edge, its weight is negative or infinite
+        M = sparse.csr_matrix(
+            np.array([[1.0, entry, -1.0], [entry, 1.0, -1.0], [-1.0, -1.0, 2.0]])
+        )
+        with pytest.raises(rs.ParameterError, match=rf"off-diagonal entry \(0, 1\) is {entry!r}"):
+            self.calls(M)[route]()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_non_square_refused(self, route):
+        # a Laplacian is square; its vertex count is not its row count alone
+        M = sparse.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(rs.ParameterError, match=r"shape \(3, 2\), which is not square"):
+            self.calls(M)[route]()
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_solution_length_checked(self, size):
+        # x needs one entry per vertex, as b does; longer and shorter are refused
+        factors = rs.incidence_factors(rs.path(3))
+        x = np.arange(float(size))
+        report = rs.SolveReport(x=x, residual_two_norm=0.0, null_component=0.0, rank=2)
+        expected = rf"solution has shape \({size},\), expected \(3,\)"
+        with pytest.raises(rs.ParameterError, match=expected):
+            rs.energy_norm(factors, x)
+        with pytest.raises(rs.ParameterError, match=expected):
+            rs.error_report(report, report, factors, 0.5)
 
 
 class TestSolveSparsified:

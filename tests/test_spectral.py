@@ -208,8 +208,7 @@ class TestExactResistances:
         # are two dtrmm each, so they sum what dtrtri sums: no entry is negative
         assert (rank > spectral._TRTRI_ORDER) == (rank != 64)
         g = _rounded_connected(rank + 1, rank, span)
-        *_, a, _ = spectral._eliminate(rs.incidence_factors(g))
-        upper = np.array(a[:rank])
+        upper = np.array(spectral._eliminate(rs.incidence_factors(g)).a[:rank])
         expected, info = scipy.linalg.lapack.dtrtri(upper.T, lower=1, unitdiag=1)
         assert info == 0
         assert spectral._invert_unit_upper(upper)
@@ -233,12 +232,12 @@ class TestExactResistances:
         # the sums skip the columns left of each edge's first row, which F,
         # upper triangular with a zero row for the grounds, holds at zero
         factors = rs.incidence_factors(g)
-        _, at, f = spectral._grounded_factor(spectral._eliminate(factors))
-        rank = f.shape[1]
+        prof = rs.spectral_profile(factors)
+        f, at, rank = prof.factor, prof.row_map, prof.rank
         assert not np.any(np.tril(f[:rank], -1)) and not np.any(f[rank])
         diffs = f[at[factors.lo]] - f[at[factors.hi]]
         full = np.einsum("ij,ij->i", diffs, diffs)
-        np.testing.assert_allclose(profile_of(g).resistance, full, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(prof.resistance, full, rtol=1e-15, atol=0)
 
     def test_faint_bridge(self):
         # a bridge of weight 1e-18, resistance 1e18, still resolves
