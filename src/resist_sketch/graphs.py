@@ -16,6 +16,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from .errors import ParameterError
+
 Edge = tuple[int, int, float]
 
 
@@ -119,7 +121,9 @@ class IncidenceFactors:
 
     Edge i joins ``lo[i] < hi[i]`` with weight ``weights[i]``. They give the
     m x n signed incidence matrix B, whose row i has +1 at ``lo[i]`` and -1
-    at ``hi[i]``; B is never formed. The arrays are locked read-only.
+    at ``hi[i]``; B is never formed. The arrays are locked read-only. Edges
+    with 0 <= lo < hi < n and finite positive weights are what the
+    elimination reads; anything else raises ParameterError.
     """
 
     n: int
@@ -128,7 +132,15 @@ class IncidenceFactors:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.lo, self.hi, self.weights):
+        lo, hi, w = self.lo, self.hi, self.weights
+        bad = np.flatnonzero(~((0 <= lo) & (lo < hi) & (hi < self.n) & np.isfinite(w) & (w > 0.0)))
+        if bad.size:
+            i = int(bad[0])
+            raise ParameterError(
+                f"edge {i} joins {int(lo[i])} to {int(hi[i])} with weight {float(w[i])!r}; "
+                f"edges need 0 <= lo < hi < n={self.n} and a finite positive weight"
+            )
+        for a in (lo, hi, w):
             a.setflags(write=False)
 
     @property

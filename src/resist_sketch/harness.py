@@ -30,7 +30,7 @@ from .sampling import (
 from .solve import error_report, solve_exact, solve_sparsified
 from .spectral import (
     SpectralProfile,
-    _reverse_resistances,
+    effective_resistances,
     leverage_probabilities,
     spectral_profile,
 )
@@ -124,19 +124,17 @@ def _load_rhs(cfg: RunConfig, n: int) -> np.ndarray:
 
 
 def _cross_check(
-    factors: IncidenceFactors, profile: SpectralProfile
+    factors: IncidenceFactors, leverage: np.ndarray
 ) -> tuple[np.ndarray | None, float]:
     """Reverse-order resistances and their worst relative gap to leverage/weight.
 
-    The reverse-order elimination (effective_resistances) is built in the
-    profile's F (spectral._reverse_resistances), so the profile is spent:
-    callers read its rank first and nothing of it after. When that
-    elimination is refused (FactorizationError) there are no resistances and
-    the gap is infinite.
+    The reverse-order elimination (effective_resistances) allocates a dense
+    factor of its own; callers drop their profile first, so its F is freed
+    and the memory reused. When that elimination is refused
+    (FactorizationError) there are no resistances and the gap is infinite.
     """
-    leverage = profile.leverage
     try:
-        resistance = _reverse_resistances(factors, profile)
+        resistance = effective_resistances(factors)
     except FactorizationError:
         return None, math.inf
     gap = np.abs(leverage - factors.weights * resistance)
@@ -192,14 +190,15 @@ def cmd_resistance(cfg: RunConfig) -> dict[str, Any]:
 
     The resistances are effective_resistances', the positive elimination in
     reverse vertex order, checked against the profile's leverage / weight
-    (forward order). The reverse elimination is built in the profile's F once
-    its scores are read, so the run holds one dense factor. A gap above 1e-8,
-    or a refused elimination (gap inf), raises FactorizationError, not wrong
-    values.
+    (forward order). The profile is dropped once its rank and leverage are
+    read, before the reverse elimination allocates, so the run holds one
+    dense factor at a time. A gap above 1e-8, or a refused elimination
+    (gap inf), raises FactorizationError, not wrong values.
     """
     g, factors, profile = _analyze(cfg)
-    rank = profile.rank
-    resistance, gap = _cross_check(factors, profile)
+    rank, leverage = profile.rank, profile.leverage
+    del profile  # frees F before the reverse elimination allocates its own
+    resistance, gap = _cross_check(factors, leverage)
     if not gap <= _CROSS_CHECK_TOL:
         raise FactorizationError(
             f"reverse-order resistances disagree with the leverage route by {gap:.3e}"
@@ -235,16 +234,12 @@ def cmd_sparsify(cfg: RunConfig) -> dict[str, Any]:
 
 def cmd_solve(cfg: RunConfig) -> dict[str, Any]:
     """Solve the exact and sparsified systems once and compare them."""
-    t0 = time.perf_counter()
     g, factors, profile = _analyze(cfg)
-    t_analyze = time.perf_counter()
     b = _load_rhs(cfg, g.n)
     plan, source = _plan_for(cfg, profile, g.n)
-    t_plan = time.perf_counter()
     exact = solve_exact(factors, b, profile=profile)
     system = build_sparsifier(factors, plan)
     scored = error_report(exact, solve_sparsified(system, b), factors, cfg.epsilon)
-    t_done = time.perf_counter()
     return {
         "n": g.n,
         "m": g.m,
@@ -263,11 +258,6 @@ def cmd_solve(cfg: RunConfig) -> dict[str, Any]:
             "distinct_edges": system.distinct_edges,
             "nnz": system.nnz,
         },
-        "timings": {
-            "analyze": t_analyze - t0,
-            "plan": t_plan - t_analyze,
-            "solve": t_done - t_plan,
-        },
     }
 
 
@@ -279,7 +269,8 @@ def cmd_verify(cfg: RunConfig) -> VerifyReport:
     edge draws differ. Quantile and mean statistics of the
     per-trial concentration deviations come back alongside the success rate
     so both the per-trial and the in-expectation guarantees can be judged.
-    The closing cross-check builds in the profile's F once the trials are done.
+    The profile is dropped once the trials are done, before the closing
+    cross-check allocates its own dense factor.
     """
     g, factors, profile = _analyze(cfg)
     b = _load_rhs(cfg, g.n)
@@ -313,8 +304,9 @@ def cmd_verify(cfg: RunConfig) -> VerifyReport:
             }
         )
 
-    # no trial reads F past here, so the cross-check may build in it
-    gap = _cross_check(factors, profile)[1]
+    rank, leverage = profile.rank, profile.leverage
+    del profile  # frees F before the cross-check allocates its own
+    gap = _cross_check(factors, leverage)[1]
     pass_count = int(np.count_nonzero(deviations <= bound))
     if cfg.trials > 1:
         std_error = float(np.std(deviations, ddof=1) / math.sqrt(cfg.trials))
@@ -332,14 +324,14 @@ def cmd_verify(cfg: RunConfig) -> VerifyReport:
         c0=cfg.c0,
         r=plan0.r,
         off_theorem=source == "override",
-        rank=profile.rank,
+        rank=rank,
         concentration_bound=bound,
         concentration_pass_count=pass_count,
         concentration_pass_rate=pass_count / cfg.trials,
         mean_concentration_deviation=float(deviations.mean()),
         concentration_std_error=std_error,
         mean_deviation_target=math.sqrt(cfg.epsilon) / 6.0,
-        oversampling_condition=_oversampling_condition(cfg, profile.rank),
+        oversampling_condition=_oversampling_condition(cfg, rank),
         max_sv_deviation_quantiles=quantiles,
         lemma_max_relerr=gap,
         records=tuple(records),

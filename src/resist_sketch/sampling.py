@@ -151,6 +151,7 @@ def build_sparsifier(factors: IncidenceFactors, plan: SamplingPlan) -> Sparsifie
 
     Edge i drawn c_i times contributes c_i w_i b_i b_i^T / (r p_i), i.e. one
     edge of weight w_i c_i / (r p_i). The counts come from draw_counts(plan).
+    A reweighted edge past float64's range raises FactorizationError.
     """
     if plan.m != factors.m:
         raise ParameterError(
@@ -161,7 +162,10 @@ def build_sparsifier(factors: IncidenceFactors, plan: SamplingPlan) -> Sparsifie
     p = plan.probabilities[hit]
     if np.any(p == 0.0):
         raise RuntimeError("drew an edge with zero probability")
-    weights = factors.weights[hit] * (counts[hit] / (plan.r * p))
+    with np.errstate(over="ignore"):
+        weights = factors.weights[hit] * (counts[hit] / (plan.r * p))
+    if not np.all(np.isfinite(weights) & (weights > 0.0)):
+        raise FactorizationError("a reweighted edge's weight is past float64's range")
     drawn = IncidenceFactors(factors.n, factors.lo[hit], factors.hi[hit], weights)
     hit.setflags(write=False)
     return SparsifiedSystem(edges=hit, factors=drawn)

@@ -86,18 +86,18 @@ def _edges(L) -> IncidenceFactors:
 
 
 def _vector(v, n: int, what: str) -> np.ndarray:
-    """v as a float array of one entry per vertex, n of them; ParameterError otherwise."""
+    """v as a float array of n finite entries, one per vertex; ParameterError otherwise."""
     v = np.asarray(v, dtype=float)
     if v.shape != (n,):
         raise ParameterError(f"{what} has shape {v.shape}, expected ({n},)")
+    if not np.all(np.isfinite(v)):
+        raise ParameterError(f"{what} must be finite")
     return v
 
 
 def _solved(factors: IncidenceFactors, b, apply) -> SolveReport:
     """Check b against the edges, solve by apply(b) -> (x, rank), and report ||L x - b||."""
     b = _vector(b, factors.n, "right-hand side")
-    if not np.all(np.isfinite(b)):
-        raise ParameterError("right-hand side must be finite")
     x, rank = apply(b)
     # the norm of the residual scaled by a power of two, which no square can overflow
     residual, k = _unit_scaled(_laplacian_times(factors, x) - b)
@@ -141,19 +141,22 @@ def energy_norm(L, x: np.ndarray) -> float:
     """The quadratic form x^T L x (a squared quantity, by convention).
 
     L is IncidenceFactors or a Laplacian matrix (see _edges), and x has one
-    entry per vertex. The form is the squared weighted flow norm
-    sum_i w_i (Bx)_i^2, which cannot go negative.
+    entry per vertex, all finite. The form is the squared weighted flow norm
+    sum_i w_i (Bx)_i^2, which cannot go negative. It is summed as error_report
+    sums its energies (_scaled_energy), the weights and the flows scaled by
+    powers of two, so no square or sum overflows; a result past float64's
+    range raises FactorizationError.
     """
     factors = _edges(L)
-    x = _vector(x, factors.n, "solution")
-    flow = x[factors.lo] - x[factors.hi]
-    return float(np.dot(factors.weights, flow * flow))
+    a = _weight_exponent(factors)
+    energy, k = _scaled_energy(factors, _vector(x, factors.n, "solution"), a)
+    return _ldexp(energy, a + k, "energy")
 
 
-def _laplacian_times(factors: IncidenceFactors, x: np.ndarray) -> np.ndarray:
-    """L x as B^T (w * B x), each vertex's terms summed in edge order, lo then hi."""
+def _laplacian_times(factors: IncidenceFactors, x: np.ndarray, a: int = 0) -> np.ndarray:
+    """L x 2**-a as B^T (w 2**-a * B x), each vertex's terms summed in edge order, lo then hi."""
     lo, hi = factors.lo, factors.hi
-    y = factors.weights * (x[lo] - x[hi])
+    y = np.ldexp(factors.weights, -a) * (x[lo] - x[hi])
     out = np.zeros(factors.n)
     np.add.at(out, np.column_stack((lo, hi)).ravel(), np.column_stack((y, -y)).ravel())
     return out
@@ -173,15 +176,20 @@ def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(v, -k), k
 
 
-def _scaled_energy(factors: IncidenceFactors, x: np.ndarray) -> tuple[float, int]:
-    """x^T L x = sum_i w_i (B x)_i^2 as (e, k), the energy being e * 2**k.
+def _weight_exponent(factors: IncidenceFactors) -> int:
+    """a, the power of two that brings the largest weight times 2**-a into [1, 2); 0 if none."""
+    return math.frexp(float(np.max(factors.weights, initial=0.0)))[1] - 1
+
+
+def _scaled_energy(factors: IncidenceFactors, x: np.ndarray, a: int) -> tuple[float, int]:
+    """x^T L x 2**-a = sum_i w_i 2**-a (B x)_i^2 as (e, k), that being e * 2**k.
 
     The flow B x is first scaled by the power of two that brings its largest
     entry into [0.5, 1), so no square under- or overflows when the flows near
     either end of the float range.
     """
     flow, half = _unit_scaled(x[factors.lo] - x[factors.hi])
-    return float(np.dot(factors.weights, flow * flow)), 2 * half
+    return float(np.dot(np.ldexp(factors.weights, -a), flow * flow)), 2 * half
 
 
 def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float) -> SolveReport:
@@ -205,10 +213,9 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
     L = _edges(L)
     for x in (exact.x, sparsified.x):
         _vector(x, L.n, "solution")
-    a = math.frexp(float(np.max(L.weights, initial=0.0)))[1] - 1
-    scaled = IncidenceFactors(L.n, L.lo, L.hi, np.ldexp(L.weights, -a))
-    error, k_error = _scaled_energy(scaled, exact.x - sparsified.x)
-    reference, k_reference = _scaled_energy(scaled, exact.x)
+    a = _weight_exponent(L)
+    error, k_error = _scaled_energy(L, exact.x - sparsified.x, a)
+    reference, k_reference = _scaled_energy(L, exact.x, a)
     energy_error = _ldexp(error, a + k_error, "energy error")
     # x^T L x <= ||x|| ||L x|| (Cauchy-Schwarz): a floor that grows with x as
     # the energy does, where ||x||^2 would outgrow it across a faint bridge.
@@ -217,7 +224,7 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
     # both sides are compared times 2**-t, t >= that exponent, so neither
     # the norms nor the comparison can overflow
     y, k = _unit_scaled(exact.x)
-    ly = _laplacian_times(scaled, y)
+    ly = _laplacian_times(L, y, a)
     exponent = 2 * (k + a)
     t = max(0, exponent)
     bound = float(np.linalg.norm(y) * np.linalg.norm(ly))

@@ -12,9 +12,10 @@ n^3/3 flops of GEMM for the factor, n^3/3 more of dtrmm and dtrtri for its
 triangular inverse, and m n for the resistances. Each elimination is one
 record, ``_Elimination``, whose dense (rank + 1) x rank array becomes L^T,
 then F in place in the profile; the inverse by halves borrows up to three
-quarter-size blocks while it runs. The reverse order can be built in a spent
-profile's array (``_reverse_resistances``), so the ``resistance`` mode holds
-one such array and ``leverage`` one; ``solve`` adds the sampled system's
+quarter-size blocks while it runs. Nothing writes to a profile's arrays
+once it is built. The reverse order allocates an array of its own, so the
+``resistance`` mode drops the profile before it runs and holds one such
+array at a time, as ``leverage`` does; ``solve`` adds the sampled system's
 elimination, and ``sparsify`` and ``verify`` that and the concentration
 check's rank x rank Gram. Approximate scores enter only through the ``beta``
 slack of ``leverage_probabilities``; no approximation algorithm lives here.
@@ -96,15 +97,10 @@ def spectral_profile(factors: IncidenceFactors) -> SpectralProfile:
     rank) by over 1e-8 * rank, as when a resistance overflows, mean the
     weights span past float64: FactorizationError.
     """
-    return _profile(factors)
-
-
-def _profile(factors: IncidenceFactors, out: np.ndarray | None = None) -> SpectralProfile:
-    """``spectral_profile``, its factor built in out's memory when given (see _grounded_weights)."""
     if factors.m < 1:
         raise ParameterError("graph has no edges")
     with np.errstate(all="ignore"):
-        e = _eliminate(factors, out)
+        e = _eliminate(factors)
         rank, at, labels, f = e.rank, e.row_map, e.labels, e.a  # F = L^-T D^-1/2 2**-h in a
         f[rank] = 0.0
         if not _invert_unit_upper(f[:rank]):
@@ -136,7 +132,7 @@ def _profile(factors: IncidenceFactors, out: np.ndarray | None = None) -> Spectr
     )
 
 
-def _grounded_weights(edges: IncidenceFactors, out: np.ndarray | None = None) -> _Elimination:
+def _grounded_weights(edges: IncidenceFactors) -> _Elimination:
     """Ground one vertex per component and scale the weights; nothing else does either.
 
     Returns the edges' record: labels, row map at, h, pivots np.empty(rank),
@@ -145,9 +141,7 @@ def _grounded_weights(edges: IncidenceFactors, out: np.ndarray | None = None) ->
     i < j < rank, a[i, j] sums the edges between the i-th and j-th
     non-grounds and a[rank, j] those from the j-th to the grounds; the rest of
     a is zero. Each consumer undoes the scaling on its result with one ldexp.
-    a is fresh zeros, or out (a spent factor of as many entries, its pages
-    already mapped) zeroed; np.add.at sums into it in edge order, so each
-    entry is the same sum in either.
+    np.add.at sums the edges into a, fresh zeros, in edge order.
     """
     lo, hi, weights = edges.lo, edges.hi, edges.weights
     labels, keep = _components(edges.n, lo, hi)
@@ -156,18 +150,13 @@ def _grounded_weights(edges: IncidenceFactors, out: np.ndarray | None = None) ->
     at = np.where(keep, np.cumsum(keep) - 1, rank)
     # hi is never a ground (each component's is its first vertex), so at[lo] < at[hi]
     # or lo is a ground, whose weights land in row rank
-    cells, scaled, size = at[lo] * rank + at[hi], np.ldexp(weights, -2 * half), (rank + 1) * rank
-    if out is None:
-        flat = np.zeros(size)
-    else:
-        flat = out.reshape(size)
-        flat.fill(0.0)
-    np.add.at(flat, cells, scaled)
-    return _Elimination(labels, at, half, flat.reshape(rank + 1, rank), np.empty(rank))
+    a = np.zeros((rank + 1, rank))
+    np.add.at(a.reshape(-1), at[lo] * rank + at[hi], np.ldexp(weights, -2 * half))
+    return _Elimination(labels, at, half, a, np.empty(rank))
 
 
 @np.errstate(all="ignore")  # a pivot that is not positive and finite is refused below
-def _eliminate(edges: IncidenceFactors, out: np.ndarray | None = None) -> _Elimination:
+def _eliminate(edges: IncidenceFactors) -> _Elimination:
     """Positive L D L^T of the edges' grounded Laplacian, in ``_grounded_weights``' record.
 
     Its a becomes the unit upper L^T in place (a[:rank]) and its pivots D,
@@ -183,7 +172,7 @@ def _eliminate(edges: IncidenceFactors, out: np.ndarray | None = None) -> _Elimi
     terms of one sign. A pivot that is not positive and finite raises
     FactorizationError.
     """
-    e = _grounded_weights(edges, out)
+    e = _grounded_weights(edges)
     rank, a, pivots = e.rank, e.a, e.pivots
     ground = a[rank]
     dger = scipy.linalg.blas.dger
@@ -310,29 +299,12 @@ def effective_resistances(g: WeightedGraph | IncidenceFactors) -> np.ndarray:
     FactorizationError past float64's range. Takes a graph or its incidence
     factors.
     """
-    return _reverse_resistances(g if isinstance(g, IncidenceFactors) else incidence_factors(g))
-
-
-def _reverse_resistances(
-    factors: IncidenceFactors, spent: SpectralProfile | None = None
-) -> np.ndarray:
-    """``effective_resistances`` of the factors, built in spent's F when given.
-
-    spent is a profile of the same edges that nothing reads again. The reverse
-    order keeps the rank, so its elimination fits F's (rank + 1) x rank array
-    and overwrites it: a run holds one dense factor, not two, and maps no
-    fresh pages for the second. The resistances are the same bit for bit
-    (see _grounded_weights).
-    """
+    factors = g if isinstance(g, IncidenceFactors) else incidence_factors(g)
     if factors.m == 0:
         return np.zeros(0)
     last = factors.n - 1
     flipped = IncidenceFactors(factors.n, last - factors.hi, last - factors.lo, factors.weights)
-    out = None
-    if spent is not None:
-        out = spent.factor
-        out.setflags(write=True)  # a view of _grounded_weights' array, which was never locked
-    return _profile(flipped, out).resistance
+    return spectral_profile(flipped).resistance
 
 
 #: slack for validating supplied probabilities against the leverage floor

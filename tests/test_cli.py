@@ -185,7 +185,7 @@ class TestExitCodes:
         # (gap inf): resistance prints nothing and exits 2
         from resist_sketch import harness
 
-        monkeypatch.setattr(harness, "_reverse_resistances", _faulty_routes[fault])
+        monkeypatch.setattr(harness, "effective_resistances", _faulty_routes[fault])
         code, out, err = run(capsys, "resistance", "--graph", tri_file)
         assert code == 2
         assert out == ""
@@ -218,6 +218,16 @@ class TestExitCodes:
         )
         assert code == 0
         assert json.loads(out)["mode"] == mode
+
+    def test_reweighted_edge_past_float64_exits_2(self, tmp_path, capsys):
+        # complete(4) at 1.7e308 scores fine, but one draw reweights its edge
+        # by 1 / p = 6, past float64
+        target = tmp_path / "heavy.txt"
+        with open(target, "w", encoding="utf-8") as fh:
+            rs.save_graph(rs.complete(4, [1.7e308] * 6), fh)
+        code, out, err = run(capsys, "sparsify", "--graph", str(target), "--r-override", "1")
+        assert code == 2
+        assert out == "" and "numerical failure" in err and "past float64" in err
 
     @pytest.mark.parametrize("bridge", [1e-16, 1e-18, 1e-100])
     def test_faint_bridge_sparsified_solve(self, tmp_path, capsys, bridge):
@@ -309,7 +319,7 @@ class TestExitCodes:
     def test_verify_only_reports_failed_cross_check(self, tmp_path, capsys, monkeypatch):
         from resist_sketch import harness
 
-        monkeypatch.setattr(harness, "_reverse_resistances", _faulty_routes["gap"])
+        monkeypatch.setattr(harness, "effective_resistances", _faulty_routes["gap"])
         code, out, _ = run(
             capsys, "verify", "--graph", bridged_triangles(tmp_path, 1e-10),
             "--trials", "2",
@@ -324,7 +334,7 @@ class TestExitCodes:
         # same elimination as a full-rank draw.
         from resist_sketch import harness
 
-        monkeypatch.setattr(harness, "_reverse_resistances", _faulty_routes["unfactorable"])
+        monkeypatch.setattr(harness, "effective_resistances", _faulty_routes["unfactorable"])
         code, out, _ = run(
             capsys, "verify", "--graph", bridged_triangles(tmp_path, 1e-18),
             "--trials", "2", "--r-override", "1",
@@ -333,13 +343,13 @@ class TestExitCodes:
         assert json.loads(out)["results"]["lemma_max_relerr"] is None
 
 
-def _unfactorable(factors, spent):
+def _unfactorable(factors):
     raise rs.FactorizationError("forced")
 
 
 #: stand-ins for the second resistance route: off by a factor of two, or refusing
 _faulty_routes = {
-    "gap": lambda factors, spent: 2.0 * spectral._reverse_resistances(factors, spent),
+    "gap": lambda factors: 2.0 * spectral.effective_resistances(factors),
     "unfactorable": _unfactorable,
 }
 

@@ -140,6 +140,27 @@ class TestIncidence:
             np.asarray(incidence_matrix(f).sum(axis=1)).ravel(), 0.0, atol=0.0
         )
 
+    @pytest.mark.parametrize(
+        "lo, hi, w",
+        [
+            ([0, 4], [1, 3], [1.0, 1e-9]),  # ends swapped: the elimination would drop the edge
+            ([0, 1], [1, 1], [1.0, 1.0]),  # a loop
+            ([0, -1], [1, 1], [1.0, 1.0]),
+            ([0, 1], [1, 6], [1.0, 1.0]),  # an end at n
+            ([0, 1], [1, 2], [1.0, -1.0]),
+            ([0, 1], [1, 2], [1.0, 0.0]),
+            ([0, 1], [1, 2], [1.0, np.inf]),
+            ([0, 1], [1, 2], [1.0, np.nan]),
+        ],
+    )
+    def test_edges_the_elimination_cannot_read_refused(self, lo, hi, w):
+        with pytest.raises(rs.ParameterError, match="edge 1 joins"):
+            rs.IncidenceFactors(6, np.array(lo), np.array(hi), np.array(w))
+
+    def test_no_edges_accepted(self):
+        no_ends = np.empty(0, dtype=np.int64)
+        assert rs.IncidenceFactors(2, no_ends, no_ends, np.empty(0)).m == 0
+
 
 class TestLaplacian:
     def test_single_unit_edge(self, single_edge):

@@ -264,19 +264,19 @@ class TestRunReport:
         from resist_sketch import harness
 
         calls = []
-        original = harness._reverse_resistances
+        original = harness.effective_resistances
 
-        def counted(g, spent):
+        def counted(g):
             calls.append(g)
-            return original(g, spent)
+            return original(g)
 
-        monkeypatch.setattr(harness, "_reverse_resistances", counted)
+        monkeypatch.setattr(harness, "effective_resistances", counted)
         rs.run_report(cfg_for(graph_file(triangle), mode=mode, trials=3))
         assert len(calls) == 1
 
     def test_resistance_holds_one_dense_factor(self, graph_file):
-        # the reverse elimination is built in the profile's (rank + 1) x rank F:
-        # a second such array would put the peak past 2.5 of them
+        # the profile's (rank + 1) x rank F is freed before the reverse elimination
+        # allocates its own: a second such array would put the peak past 2.5 of them
         g = _connected(400, 4400, seed=4)
         cfg = cfg_for(graph_file(g), mode="resistance")
         tracemalloc.start()
@@ -356,6 +356,7 @@ class TestRunReport:
         for mode in rs.harness.MODES:
             report = rs.run_report(cfg_for(graph_file(triangle), mode=mode, trials=2))
             assert report["mode"] == mode
+            assert set(report["results"]["timings"]) == {"total"}
             assert report["results"]["timings"]["total"] >= 0.0
 
     def test_jsonable_scrubs_non_finite(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -163,6 +164,19 @@ class TestInputChecks:
         with pytest.raises(rs.ParameterError, match=r"shape \(3, 2\), which is not square"):
             self.calls(M)[route]()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_solution_refused(self, bad):
+        # energy_norm read nan, and error_report scored the solution without a word
+        factors = rs.incidence_factors(rs.path(3))
+        x = np.array([bad, 0.0, 0.0])
+        report = rs.SolveReport(x=x, residual_two_norm=0.0, null_component=0.0, rank=2)
+        finite = rs.solve_exact(factors, self.B)
+        with pytest.raises(rs.ParameterError, match="solution must be finite"):
+            rs.energy_norm(factors, x)
+        for exact, sparsified in ((report, finite), (finite, report)):
+            with pytest.raises(rs.ParameterError, match="solution must be finite"):
+                rs.error_report(exact, sparsified, factors, 0.5)
+
     @pytest.mark.parametrize("size", [2, 4])
     def test_solution_length_checked(self, size):
         # x needs one entry per vertex, as b does; longer and shorter are refused
@@ -280,6 +294,25 @@ class TestEnergyNorm:
     def test_zero_vector(self, triangle):
         assert rs.energy_norm(rs.laplacian_of(triangle), np.zeros(3)) == 0.0
 
+    @pytest.mark.parametrize(
+        "g, x, energy",
+        [
+            # the flow 1e200 squares past float64, the energy 1e100 does not
+            (rs.path(3, [1e-300, 1e-300]), [1e200, 0.0, 0.0], 1e100),
+            # five terms near 1e308 once the flows are scaled: the weights are too
+            (rs.WeightedGraph(6, [(leaf, 5, 1e308) for leaf in range(5)]), [0.0] * 5 + [1e-5],
+             5e298),
+        ],
+    )
+    def test_flows_scaled_before_squaring(self, g, x, energy):
+        factors = rs.incidence_factors(g)
+        assert rs.energy_norm(factors, np.array(x)) == pytest.approx(energy, rel=1e-15)
+
+    def test_energy_past_float64_refused(self):
+        factors = rs.incidence_factors(rs.path(3, [1e300, 1e300]))
+        with pytest.raises(rs.FactorizationError, match="past float64's range"):
+            rs.energy_norm(factors, np.array([1e10, 0.0, 0.0]))
+
     @given(weighted_graphs(), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40, deadline=None)
     def test_matrix_and_factor_forms_agree(self, g, seed):
@@ -344,6 +377,18 @@ class TestErrorReport:
         _, scored = self._scored(triangle, b, r=rs.sample_count(3, 0.5), seed=8)
         assert scored.success is True
         assert 0.0 <= scored.relative_energy_error <= 0.5
+
+    def test_weights_spanning_past_the_subnormals(self):
+        # the 1e-30 edge times 2**-a, a the 1e300 edge's exponent, underflows
+        # to zero; the weight-scaled sums drop it and the report still stands
+        factors = rs.incidence_factors(rs.path(3, [1e300, 1e-30]))
+        exact = rs.SolveReport(
+            x=np.array([1.0, 0.0, 0.0]), residual_two_norm=0.0, null_component=1.0, rank=2
+        )
+        sparsified = dataclasses.replace(exact, x=np.array([1.0, 0.0, 1.0]))
+        scored = rs.error_report(exact, sparsified, factors, 0.5)
+        assert 0.0 <= scored.energy_error <= 1e-30
+        assert scored.success is True
 
     def test_bad_epsilon_rejected(self, triangle):
         L = rs.laplacian_of(triangle)

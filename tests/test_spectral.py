@@ -324,24 +324,6 @@ class TestEffectiveResistances:
     def test_no_edges(self):
         assert rs.effective_resistances(rs.WeightedGraph(3, [])).shape == (0,)
 
-    @pytest.mark.parametrize(
-        "g",
-        [_parallel_pair(), _three_components(), _wide_weight_graph(11, 12)],
-        ids=["parallel", "components", "span-1e12"],
-    )
-    def test_built_in_a_spent_factor(self, g):
-        # the reverse elimination overwrites the forward profile's F with the
-        # factor a fresh array gets, and reads the same resistances, bit for bit
-        factors = rs.incidence_factors(g)
-        spent = rs.spectral_profile(factors)
-        resistance = spectral._reverse_resistances(factors, spent)
-        assert resistance.tobytes() == rs.effective_resistances(g).tobytes()
-        last = g.n - 1
-        flipped = rs.incidence_factors(
-            rs.WeightedGraph(g.n, [(last - u, last - v, w) for u, v, w in g.edges])
-        )
-        assert spent.factor.tobytes() == rs.spectral_profile(flipped).factor.tobytes()
-
     @pytest.mark.parametrize("weight", [1e-300, 1.7e308])
     def test_extreme_uniform_weights(self, weight):
         # weighted degrees of 3 * 1.7e308 would overflow without the scaling
