@@ -142,14 +142,17 @@ def energy_norm(L, x: np.ndarray) -> float:
 
     L is IncidenceFactors or a Laplacian matrix (see _edges), and x has one
     entry per vertex, all finite. The form is the squared weighted flow norm
-    sum_i w_i (Bx)_i^2, which cannot go negative. It is summed as error_report
-    sums its energies (_scaled_energy), the weights and the flows scaled by
-    powers of two, so no square or sum overflows; a result past float64's
-    range raises FactorizationError.
+    sum_i w_i (Bx)_i^2, which cannot go negative. It is summed by
+    _scaled_energy, the flows scaled by a power of two and the weights by
+    2**-a, a > 0 only where m of them could sum past float64, so no square
+    or sum overflows and no weight underflows that did not have to; a result
+    past float64's range raises FactorizationError.
     """
     factors = _edges(L)
-    a = _weight_exponent(factors)
-    energy, k = _scaled_energy(factors, _vector(x, factors.n, "solution"), a)
+    x = _vector(x, factors.n, "solution")
+    top = math.frexp(float(np.max(factors.weights, initial=0.0)))[1]  # every weight < 2**top
+    a = max(0, top + factors.m.bit_length() - 1023)
+    energy, k = _scaled_energy(factors, x, a)
     return _ldexp(energy, a + k, "energy")
 
 
@@ -174,11 +177,6 @@ def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
     """(v 2**-k, k) for the power of two that brings v's largest entry into [0.5, 1); exact."""
     _, k = math.frexp(float(np.max(np.abs(v), initial=0.0)))
     return np.ldexp(v, -k), k
-
-
-def _weight_exponent(factors: IncidenceFactors) -> int:
-    """a, the power of two that brings the largest weight times 2**-a into [1, 2); 0 if none."""
-    return math.frexp(float(np.max(factors.weights, initial=0.0)))[1] - 1
 
 
 def _scaled_energy(factors: IncidenceFactors, x: np.ndarray, a: int) -> tuple[float, int]:
@@ -213,7 +211,7 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
     L = _edges(L)
     for x in (exact.x, sparsified.x):
         _vector(x, L.n, "solution")
-    a = _weight_exponent(L)
+    a = math.frexp(float(np.max(L.weights, initial=0.0)))[1] - 1
     error, k_error = _scaled_energy(L, exact.x - sparsified.x, a)
     reference, k_reference = _scaled_energy(L, exact.x, a)
     energy_error = _ldexp(error, a + k_error, "energy error")

@@ -152,6 +152,7 @@ class TestIncidence:
             ([0, 1], [1, 2], [1.0, np.inf]),
             ([0, 1], [1, 2], [1.0, np.nan]),
         ],
+        ids=["swapped", "loop", "negative-end", "end-at-n", "negative", "zero", "inf", "nan"],
     )
     def test_edges_the_elimination_cannot_read_refused(self, lo, hi, w):
         with pytest.raises(rs.ParameterError, match="edge 1 joins"):

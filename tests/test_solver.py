@@ -302,7 +302,10 @@ class TestEnergyNorm:
             # five terms near 1e308 once the flows are scaled: the weights are too
             (rs.WeightedGraph(6, [(leaf, 5, 1e308) for leaf in range(5)]), [0.0] * 5 + [1e-5],
              5e298),
+            # a weight 2**1074 below the largest, which a scaling to the largest would lose
+            (rs.path(3, [1e300, 1e-30]), [0.0, 0.0, 1.0], 1e-30),
         ],
+        ids=["flow-1e200", "star-1e308", "faint-1e-30"],
     )
     def test_flows_scaled_before_squaring(self, g, x, energy):
         factors = rs.incidence_factors(g)
