@@ -9,7 +9,9 @@ numerical failure inside a factorization.
 from __future__ import annotations
 
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _string
 
 import click
 import numpy as np
@@ -96,27 +98,40 @@ def cli() -> None:
     """Leverage-score edge sampling for Laplacian least-squares problems."""
 
 
+#: the JSON text of the booleans and None; read for those types only, as 1 == True
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
 def _dumps(value, level: int = 0) -> str:
     """json.dumps(value, indent=2, allow_nan=False), byte for byte, but faster.
 
-    With an indent the standard library encodes in pure Python. Here each
-    non-empty list of plain ints and floats goes through the C encoder in
-    one call, its item separator carrying the line break and indent, and
-    dicts with string keys and other lists are laid out around it the way
-    the indented encoder lays them out. Anything else is json.dumps's own
-    text, re-indented: JSON strings never hold a raw line break.
+    With an indent the standard library encodes in pure Python, one
+    generator step per token. Here each non-empty list of plain ints and
+    floats goes through the C encoder in one call, its item separator
+    carrying the line break and indent; dicts with string keys and other
+    lists are laid out around it the way the indented encoder lays them out,
+    and strings, finite floats, ints, booleans and None are written as it
+    writes them. Anything else is json.dumps's own text, re-indented: JSON
+    strings never hold a raw line break.
     """
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return kind.__repr__(value)
+    if kind is bool or value is None:
+        return _CONSTANTS[value]
     pad = "\n" + "  " * level
     inner = pad + "  "
-    if type(value) is list and value:
+    if kind is list and value:
         if {float, int}.issuperset(map(type, value)):
             items = json.dumps(value, separators=("," + inner, ":"), allow_nan=False)[1:-1]
         else:
             items = ("," + inner).join(_dumps(x, level + 1) for x in value)
         return "[" + inner + items + pad + "]"
-    if type(value) is dict and value and all(type(k) is str for k in value):
+    if kind is dict and value and all(type(k) is str for k in value):
         items = ("," + inner).join(
-            json.dumps(k) + ": " + _dumps(v, level + 1) for k, v in value.items()
+            _string(k) + ": " + _dumps(v, level + 1) for k, v in value.items()
         )
         return "{" + inner + items + pad + "}"
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", pad)

@@ -150,10 +150,15 @@ def energy_norm(L, x: np.ndarray) -> float:
     """
     factors = _edges(L)
     x = _vector(x, factors.n, "solution")
-    top = math.frexp(float(np.max(factors.weights, initial=0.0)))[1]  # every weight < 2**top
-    a = max(0, top + factors.m.bit_length() - 1023)
+    a = _sum_scale(factors)
     energy, k = _scaled_energy(factors, x, a)
     return _ldexp(energy, a + k, "energy")
+
+
+def _sum_scale(factors: IncidenceFactors) -> int:
+    """a >= 0 such that m weights times 2**-a cannot sum past float64; 0 unless they could."""
+    top = math.frexp(float(np.max(factors.weights, initial=0.0)))[1]  # every weight < 2**top
+    return max(0, top + factors.m.bit_length() - 1023)
 
 
 def _laplacian_times(factors: IncidenceFactors, x: np.ndarray, a: int = 0) -> np.ndarray:
@@ -199,22 +204,26 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
     undefined and reported as None; the run then counts as a success only if
     the absolute energy error is negligible.
 
-    The energies are summed with the weights divided by 2**a, the power of
-    two that brings the largest into [1, 2), and each flow scaled likewise,
-    so both stay representable, and their ratio defined, however far the
-    weights push x toward the ends of the float range. The zero test reads
-    that weight-scaled system, so it is the same for weights scaled by any
-    power of two and, for a = 0, the unscaled test. The scalings are exact:
-    where nothing under- or overflows the figures equal the unscaled sums.
+    The energies are summed as energy_norm sums them, each flow scaled by a
+    power of two and the weights by 2**-s only where m of them could sum
+    past float64, so both stay representable, and their ratio defined,
+    however far the weights push x toward the ends of the float range, and
+    no weight underflows that did not have to. The zero test reads the
+    weight-scaled system, the weights divided by 2**a, the power of two that
+    brings the largest into [1, 2), so it is the same for weights scaled by
+    any power of two and, for a = 0, the unscaled test. The scalings are
+    exact: where nothing under- or overflows the figures equal the unscaled
+    sums.
     """
     check(epsilon=epsilon)
     L = _edges(L)
     for x in (exact.x, sparsified.x):
         _vector(x, L.n, "solution")
+    s = _sum_scale(L)
+    error, k_error = _scaled_energy(L, exact.x - sparsified.x, s)
+    reference, k_reference = _scaled_energy(L, exact.x, s)
+    energy_error = _ldexp(error, s + k_error, "energy error")
     a = math.frexp(float(np.max(L.weights, initial=0.0)))[1] - 1
-    error, k_error = _scaled_energy(L, exact.x - sparsified.x, a)
-    reference, k_reference = _scaled_energy(L, exact.x, a)
-    energy_error = _ldexp(error, a + k_error, "energy error")
     # x^T L x <= ||x|| ||L x|| (Cauchy-Schwarz): a floor that grows with x as
     # the energy does, where ||x||^2 would outgrow it across a faint bridge.
     # Both sides are those of the weight-scaled system, x 2**a and L 2**-a;
@@ -227,7 +236,7 @@ def error_report(exact: SolveReport, sparsified: SolveReport, L, epsilon: float)
     t = max(0, exponent)
     bound = float(np.linalg.norm(y) * np.linalg.norm(ly))
     floor = _NULL_ENERGY_FLOOR * max(math.ldexp(1.0, -t), math.ldexp(bound, exponent - t))
-    if math.ldexp(reference, k_reference + 2 * a - t) <= floor:
+    if math.ldexp(reference, k_reference + s + a - t) <= floor:
         relative, success = None, energy_error <= _NULL_ENERGY_SUCCESS
     else:
         relative = _ldexp(error / reference, k_error - k_reference, "relative energy error")

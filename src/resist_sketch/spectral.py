@@ -9,10 +9,13 @@ so that the two orders can be checked against each other.
 
 This is the exact score oracle, intended for desk-scale instances: about
 n^3/3 flops of GEMM for the factor, n^3/3 more of dtrmm and dtrtri for its
-triangular inverse, and m n for the resistances. Each elimination is one
-record, ``_Elimination``, whose dense (rank + 1) x rank array becomes L^T,
-then F in place in the profile; the inverse by halves borrows up to three
-quarter-size blocks while it runs. Nothing writes to a profile's arrays
+triangular inverse, and m n for the resistances; a concentration check
+forms the triangle M of its Gram matrix in n^3/6 multiply-adds and M M^T in
+n^3/6 more. Each elimination is one record, ``_Elimination``, whose dense
+(rank + 1) x rank array becomes L^T, then F in place in the profile; the
+inverse by halves borrows up to three quarter-size blocks while it runs,
+each elimination one small panel buffer, and the Gram's triangle product
+one block of _TRTRI_ORDER rows. Nothing writes to a profile's arrays
 once it is built. The reverse order allocates an array of its own, so the
 ``resistance`` mode drops the profile before it runs and holds one such
 array at a time, as ``leverage`` does; ``solve`` adds the sampled system's
@@ -176,20 +179,21 @@ def _eliminate(edges: IncidenceFactors) -> _Elimination:
     rank, a, pivots = e.rank, e.a, e.pivots
     ground = a[rank]
     dger = scipy.linalg.blas.dger
+    p, steps = _panel(min(rank, _PANEL))
     for k0 in range(0, rank, _PANEL):
         k1 = min(k0 + _PANEL, rank)
+        if k1 - k0 < len(p):  # the last panel is short and gets a buffer of its own
+            p, steps = _panel(k1 - k0)
         earlier = a[:k0, k0:k1].T * pivots[:k0]
         a[k0:k1, k0:] += earlier @ a[:k0, k0:]
         ground[k0:k1] += earlier @ ground[:k0]
-        p = np.empty((k1 - k0, k1 - k0 + 1))
         p[:, :-1] = a[k0:k1, k0:k1]
         p[:, -1] = a[k0:k1, k1:].sum(axis=1) + ground[k0:k1]
-        for k in range(k1 - k0 - 1):
-            row = p[k]
-            pivot = pivots[k0 + k] = np.add.reduce(row[k + 1 :])
+        for k, (row, tail, inner, below) in enumerate(steps, k0):
+            pivot = pivots[k] = np.add.reduce(tail)
             # p[k+1:, k+1:] += row[k+1:-1, None] row[k+1:] / pivot, in place on the Fortran-
             # ordered transpose of rows k+1:; what lands left of column k+1 is never read
-            dger(1.0 / pivot, row, row[k + 1 : -1], 1, 1, p.T[:, k + 1 :], 1, 1, 1)
+            dger(1.0 / pivot, row, inner, 1, 1, below, 1, 1, 1)
         pivots[k1 - 1] = p[-1, -1]
         # row k of p still holds the weights it was eliminated with
         block = np.triu(p[:, :-1], 1) / -pivots[k0:k1, None]
@@ -208,6 +212,16 @@ def _eliminate(edges: IncidenceFactors) -> _Elimination:
             f"{float(pivots[bad[0]])!r}: weights span too far"
         )
     return e
+
+
+def _panel(width: int) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """``_eliminate``'s width x (width + 1) panel buffer p and each step's views of it.
+
+    Step k, for every vertex of the panel but the last, reads p[k], p[k, k+1:],
+    p[k, k+1:-1] and p.T[:, k+1:]; built once, they serve every panel of the width.
+    """
+    p = np.empty((width, width + 1))
+    return p, [(p[k], p[k, k + 1 :], p[k, k + 1 : -1], p.T[:, k + 1 :]) for k in range(width - 1)]
 
 
 def _invert_unit_upper(u: np.ndarray) -> bool:
@@ -232,6 +246,35 @@ def _invert_unit_upper(u: np.ndarray) -> bool:
     corner = dtrmm(-1.0, u[h:, h:].T, u[:h, h:].T, lower=1, diag=1)
     u[:h, h:] = dtrmm(1.0, u[:h, :h].T, corner, side=1, lower=1, diag=1, overwrite_b=1).T
     return True
+
+
+def _upper_product(a: np.ndarray, b: np.ndarray) -> None:
+    """b[:n] = a[:n] b[:n] in place, both (n + 1) x n with upper-triangular first n rows.
+
+    By blocks of _TRTRI_ORDER rows, top down: rows I become a[I, I:] b[I:, I:],
+    which reads only rows of b at or below I, none yet overwritten. Each
+    block is one dtrmm that reads b's triangle in place (``_from_diagonal``)
+    and a's rows from a copy, which becomes the block: n^3/6 multiply-adds
+    in all, and no rank^2 temporary. The lower triangle of b stays zero.
+    """
+    n = b.shape[1]
+    for i0 in range(0, n, _TRTRI_ORDER):
+        i1 = min(i0 + _TRTRI_ORDER, n)
+        # (a[I, I:] b[I:, I:])^T = b[I:, I:]^T a[I, I:]^T, b^T lower
+        block = scipy.linalg.blas.dtrmm(1.0, _from_diagonal(b, i0).T, a[i0:i1, i0:].T, lower=1)
+        b[i0:i1, i0:] = block.T
+
+
+def _from_diagonal(x: np.ndarray, i: int) -> np.ndarray:
+    """The n - i rows of x's buffer from x[i, i] on, each n long, a view.
+
+    Row r holds x[r, i:], then the first i entries of row r + 1, so the last
+    runs i entries into row n, which x must have. Its transpose is
+    Fortran-ordered with leading dimension n and x[i:, i:]^T in its first
+    n - i rows: a triangle BLAS reads in place, where x[i:, i:].T would be copied.
+    """
+    n = x.shape[1]
+    return x.reshape(-1)[i * n + i : n * n + i].reshape(n - i, n)
 
 
 def _grounded_solve(e: _Elimination, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -267,20 +310,27 @@ def _grounded_gram(e: _Elimination, profile: SpectralProfile) -> np.ndarray:
     ``_components``), H^T L H = M^T M, M = 2**h D^1/2 L^T Y: the centring and
     the shift cancel in L H. When L keeps F's rank, it keeps the components,
     so the grounds and row map are F's, Y is F[:rank] and M is upper
-    triangular; then dlauum writes M M^T, which has M^T M's spectrum, over
-    the upper triangle of M in n^3/6 flops. A draw short of F's rank gathers
-    Y and forms M^T M whole. Either way the upper triangle is what to read.
+    triangular: ``_upper_product`` forms L^T Y in a copy of F (its zero
+    ground row the room ``_from_diagonal`` needs) in n^3/6 multiply-adds,
+    and dlauum writes M M^T, which has M^T M's spectrum, over the upper
+    triangle of M in n^3/6 more. A draw short of F's rank gathers Y, which is
+    full, and forms L^T Y by one dtrmm and M^T M whole. Either way the upper
+    triangle is what to read.
     """
     rank, f, row_map = e.rank, profile.factor, profile.row_map
     full = rank == profile.rank
     if full:
-        y = np.array(f[:rank])
+        y = np.array(f)
+        _upper_product(e.a, y)
+        y = y[:rank]
     else:
         keep = e.row_map < rank
         grounds = np.unique(e.labels, return_index=True)[1][e.labels[keep]]
         y = f[row_map[keep]] - f[row_map[grounds]]
-    # Y^T L in place of Y^T, both Fortran-ordered, is (L^T Y)^T
-    y = scipy.linalg.blas.dtrmm(1.0, e.a[:rank].T, y.T, side=1, lower=1, diag=1, overwrite_b=1).T
+        # Y^T L in place of Y^T, both Fortran-ordered, is (L^T Y)^T
+        y = scipy.linalg.blas.dtrmm(
+            1.0, e.a[:rank].T, y.T, side=1, lower=1, diag=1, overwrite_b=1
+        ).T
     y *= np.ldexp(np.sqrt(e.pivots), e.half)[:, None]
     if not full:
         return y.T @ y

@@ -432,6 +432,35 @@ def test_report_text_is_the_indented_encoders(tri_file, mode):
     assert _dumps(report) == json.dumps(report, indent=2, allow_nan=False)
 
 
+_RECORD = {
+    "trial": 0,
+    "seed": 17996766564426832300,
+    "energy_error": 0.002846925940015575,
+    "relative_energy_error": None,
+    "success": True,
+    "deviation": 0.06591143766919447,
+    "deviation_within_bound": False,
+    "distinct_edges": 4397,
+    "nnz": 9194,
+    "rank": 399,
+}
+#: shaped like a verify report: no numeric list, nested dicts of scalars
+_VERIFY_SHAPED = {
+    "mode": "verify",
+    "config": {"graph_path": "g\u00e9.txt", "epsilon": 0.5, "seed": 5, "r_override": None},
+    "results": {
+        "trials": 3,
+        "success_rate": 1.0,
+        "oversampling_condition": {"lhs": 399.0, "rhs": 0.0555, "satisfied": True},
+        "max_sv_deviation_quantiles": {"q0": 0.060956444192505545, "q100": -0.0},
+        "lemma_max_relerr": 2.5616747330407717e-15,
+        "records": [_RECORD, dict(_RECORD, trial=1, seed=0, success=False), {}],
+    },
+    "timings": {"total": 1e-300},
+    "version": "0.1.0",
+}
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -452,6 +481,7 @@ def test_report_text_is_the_indented_encoders(tri_file, mode):
         None,
         "plain",
         0.1,
+        _VERIFY_SHAPED,
     ],
 )
 def test_report_text_edge_cases(value):

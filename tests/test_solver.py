@@ -382,15 +382,15 @@ class TestErrorReport:
         assert 0.0 <= scored.relative_energy_error <= 0.5
 
     def test_weights_spanning_past_the_subnormals(self):
-        # the 1e-30 edge times 2**-a, a the 1e300 edge's exponent, underflows
-        # to zero; the weight-scaled sums drop it and the report still stands
+        # the 1e-30 edge times 2**-a, a the 1e300 edge's exponent, would underflow
+        # to zero; the energies scale the weights only where their sum could overflow
         factors = rs.incidence_factors(rs.path(3, [1e300, 1e-30]))
         exact = rs.SolveReport(
             x=np.array([1.0, 0.0, 0.0]), residual_two_norm=0.0, null_component=1.0, rank=2
         )
         sparsified = dataclasses.replace(exact, x=np.array([1.0, 0.0, 1.0]))
         scored = rs.error_report(exact, sparsified, factors, 0.5)
-        assert 0.0 <= scored.energy_error <= 1e-30
+        assert scored.energy_error == pytest.approx(1e-30, rel=1e-15, abs=0)
         assert scored.success is True
 
     def test_bad_epsilon_rejected(self, triangle):

@@ -191,11 +191,12 @@ class TestExactResistances:
             for resistance in routes:
                 np.testing.assert_allclose(resistance[mine], exact, rtol=1e-13)
 
-    @pytest.mark.parametrize("rank", [33, 64])
+    @pytest.mark.parametrize("rank", [31, 32, 33, 64, 65])
     def test_panel_edges(self, rank):
-        # rank 33 leaves the last panel one vertex, which keeps only its pivot;
-        # rank 64 fills its two panels exactly
-        assert rank % spectral._PANEL in (0, 1)
+        # rank 31 is one panel of 31; ranks 33 and 65 leave the last panel one
+        # vertex, which keeps only its pivot, on a buffer of its own; ranks 32
+        # and 64 fill their panels exactly
+        assert rank % spectral._PANEL in (0, 1, spectral._PANEL - 1)
         g = _rounded_connected(rank + 1, rank)
         exact = resistances_exact(g)
         np.testing.assert_allclose(profile_of(g).resistance, exact, rtol=1e-13)
@@ -214,6 +215,19 @@ class TestExactResistances:
         assert spectral._invert_unit_upper(upper)
         np.testing.assert_allclose(upper, expected.T, rtol=1e-14, atol=0)
         assert np.all(upper >= 0.0)
+
+    @pytest.mark.parametrize("rank", [1, 63, 64, 65, 128, 129, 257])
+    def test_upper_product_matches_dtrmm(self, rank):
+        # one graph's L^T times another's F, as in the sampled Gram: up to rank 64
+        # one block, past it blocks of 64 rows and a short last one, which sum in
+        # another order and never write below the diagonal or to the ground row
+        assert (rank > spectral._TRTRI_ORDER) == (rank > 64)
+        lt = spectral._eliminate(rs.incidence_factors(_rounded_connected(rank + 1, 1))).a
+        f = np.array(profile_of(_rounded_connected(rank + 1, 2)).factor)
+        expected = scipy.linalg.blas.dtrmm(1.0, lt[:rank].T, f[:rank].T, side=1, lower=1, diag=1).T
+        spectral._upper_product(lt, f)
+        assert not np.any(np.tril(f, -1))
+        np.testing.assert_allclose(f[:rank], expected, rtol=0, atol=1e-14 * np.abs(expected).max())
 
     @pytest.mark.parametrize("k", [-40, -1, 3, 100])
     def test_power_of_four_scaling_is_exact(self, k):

@@ -19,9 +19,11 @@ are equal, e.g. with the parent commit archived to OLD:
 The graphs are written here, not by the package under test: a path, a
 cycle, a complete graph, two components, a 4-cycle with a parallel edge,
 weights spanning 1e-12 to 1e12, two unit triangles bridged at 1e-18,
-1e-100, 1e-300 and 1e-310, and the three benchmark workloads' inputs at
-seed 1, from ``bench/workloads.make_inputs`` of this checkout, with their
-epsilon and right-hand side.
+1e-100, 1e-300 and 1e-310, two random 150-vertex blocks bridged at 1e-10
+(rank 299, so the sampled Gram's triangle product runs five row blocks
+across a faint cut), and the three benchmark workloads' inputs at seed 1,
+from ``bench/workloads.make_inputs`` of this checkout, with their epsilon
+and right-hand side.
 """
 
 from __future__ import annotations
@@ -65,6 +67,16 @@ def _wide_span():
     return 12, [(u, v, float(w)) for (u, v), w in zip(pairs, weights)]
 
 
+def _bridged_blocks(bridge: float):
+    """Two ``workloads.random_connected`` blocks of 150 vertices and 600 edges, bridged."""
+    rng = np.random.default_rng(150)
+    edges = []
+    for offset in (0, 150):
+        u, v, w = workloads.random_connected(rng, 150, 600)
+        edges += [(int(a) + offset, int(b) + offset, float(x)) for a, b, x in zip(u, v, w)]
+    return 300, edges + [(149, 150, bridge)]
+
+
 def graphs(workdir: Path) -> list[tuple[str, Path, Path | None, float]]:
     """(name, graph file, right-hand-side file or None, epsilon) for every graph."""
     small = {
@@ -79,6 +91,7 @@ def graphs(workdir: Path) -> list[tuple[str, Path, Path | None, float]]:
     }
     for bridge in ("1e-18", "1e-100", "1e-300", "1e-310"):
         small[f"bridged{bridge}"] = _bridged(float(bridge))
+    small["blocks1e-10"] = _bridged_blocks(1e-10)
     out = [(name, _write_graph(workdir / f"{name}.txt", *g), None, 0.5)
            for name, g in small.items()]
     for name, w in workloads.WORKLOADS.items():
